@@ -1,8 +1,9 @@
 """Pure-Python subset-enumeration kernel.
 
-Fallback used when the compiled extension is unavailable.  Both kernels
-walk every one of the 2**(n*p + m) subsets of the ground set, so results
-are exhaustive counts, not formula evaluations.
+The reference kernel that the tests check the numpy kernel in
+blockcount against.  Both walk every one of the 2**(n*p + m) subsets of
+the ground set, so results are exhaustive counts, not formula
+evaluations.
 
 Ground-set layout (fixed so both kernels and all tests agree): the n
 blocks of size p occupy positions 0..n*p-1 contiguously, the single

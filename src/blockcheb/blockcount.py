@@ -8,8 +8,8 @@ Two independent routes compute it:
 
   * f_closed: the alternating binomial sum (inclusion-exclusion on the
     set of missed blocks),
-  * f_oracle: exhaustive enumeration of subsets (machine-word masks,
-    compiled kernel when available).
+  * f_oracle: exhaustive enumeration of subsets (uint32 masks walked in
+    numpy chunks).
 
 Their agreement is the foundation everything else in the package is
 checked against.  The identity checkers below sweep the five published
@@ -23,17 +23,37 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import GroundSetTooLargeError, InvalidConfigError
 from .exact import binomial
 
-try:
-    from ._subsetcount import count_intersecting_by_size as _kernel
-    BACKEND = "c-extension"
-except ImportError:
-    from ._subsetcount_py import count_intersecting_by_size as _kernel
-    BACKEND = "pure-python"
-
+BACKEND = "numpy"
 ENUMERATION_BOUND = 24
+_CHUNK = 1 << 14  # masks per numpy pass; 64 KiB arrays stay in cache
+
+
+def _kernel(n: int, p: int, m: int) -> list[int]:
+    """Counts c[s] of the s-subsets meeting all n size-p blocks.
+
+    Walks every mask of the n*p + m ground set (blocks at bits
+    0..n*p-1, the size-m block last), as the reference kernel in
+    _subsetcount_py does, one chunk of masks at a time.
+    """
+    nground = n * p + m
+    if not 0 <= nground <= ENUMERATION_BOUND:
+        raise ValueError("ground set out of kernel range")
+    blocks = [np.uint32(((1 << p) - 1) << (b * p)) for b in range(n)]
+    counts = np.zeros(nground + 1, dtype=np.int64)
+    total = 1 << nground
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
+        hit = np.ones(masks.size, dtype=bool)
+        for block in blocks:
+            hit &= (masks & block) != 0
+        counts += np.bincount(np.bitwise_count(masks[hit]),
+                              minlength=nground + 1)
+    return counts.tolist()
 
 IDENTITY_IDS = ("E1", "E2", "E3-printed", "E3-corrected", "E4")
 

@@ -30,10 +30,12 @@ def _family(args) -> Family:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise InvalidConfigError(f"range {text!r} must look like 3..8")
-    return int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)  # without "..", hi is "" and int() fails
+    except ValueError:
+        raise InvalidConfigError(
+            f"range {text!r} must look like 3..8") from None
 
 
 def _emit(payload: dict) -> None:
@@ -88,7 +90,11 @@ def cmd_poly(args) -> int:
 def cmd_eval(args) -> int:
     family = _family(args)
     poly = build_definitional(args.n, family)
-    x = Fraction(args.x)
+    try:
+        x = Fraction(args.x)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidConfigError(f"evaluation point {args.x!r} must look "
+                                 f"like 1, -1/2 or 0.25") from None
     value = evaluate(poly, x)
     _emit({
         "schemaVersion": SCHEMA_VERSION,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 
@@ -177,8 +178,9 @@ class TriangleCache:
 
     Rows only ever accumulate; a stored file whose generator version
     differs from the running tool is discarded wholesale rather than
-    migrated.  Writes go through an adjacent temp file and os.replace so
-    a crash never leaves a torn cache.
+    migrated.  Each write goes through its own temp file in the cache
+    directory and os.replace, so a crash never leaves a torn cache and
+    processes sharing the directory never rename each other's files.
     """
 
     def __init__(self, directory: str):
@@ -218,8 +220,12 @@ class TriangleCache:
                 merged = stored.rows + fresh.rows[have - family.m + 1:]
                 fresh = TriangleDocument(fresh.m, fresh.p, merged, fresh.oeis,
                                          fresh.generator)
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(to_json(fresh))
-            os.replace(tmp, path)
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(to_json(fresh))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
             return fresh

@@ -164,121 +164,91 @@ def check_chebyshev_u_coefficient() -> CheckResult:
 
 # ---------------------------------------------------------- constructions
 
-def check_four_way_p2() -> CheckResult:
+def _row_sweep(check_id: str, rng: str, domain, keys: tuple[str, str],
+               note: str) -> CheckResult:
+    """Compare rows built by another route with the definitional rows.
+
+    domain yields (family, n, labels, row); labels are the witness
+    fields naming the route, keys name the fields of the two rows.
+    """
     failures = []
     count = 0
-    for m in range(0, 7):
-        fam = Family(m, 2)
-        for n in range(m, 31):
-            base = build_definitional(n, fam)
-            others = {"reduction": build_by_reduction(n, fam),
-                      "three-term": build_by_three_term(n, fam)}
-            for t in range(0, 4):
-                others[f"t-recurrence(t={t})"] = \
-                    build_via_t_recurrence(n, fam, t)
-            for label, poly in others.items():
-                count += 1
-                if poly != base:
-                    failures.append({"family": str(fam), "n": str(n),
-                                     "route": label,
-                                     "got": str(poly), "expected": str(base)})
+    for fam, n, labels, got in domain:
+        count += 1
+        base = build_definitional(n, fam)
+        if got != base:
+            failures.append({"family": str(fam), "n": str(n), **labels,
+                             keys[0]: str(got), keys[1]: str(base)})
     wit, extra = _witnesses(failures)
-    return CheckResult("construction-four-way-p2", "p=2, m<=6, n<=30, t<=3",
-                       "pass" if not failures else "fail", wit,
-                       f"{count} route comparisons{extra}")
+    return CheckResult(check_id, rng, "pass" if not failures else "fail", wit,
+                       f"{count} {note}{extra}")
+
+
+def _rows(ps, m_max: int, n_max: int):
+    for p in ps:
+        for m in range(0, m_max + 1):
+            for n in range(m, n_max + 1):
+                yield Family(m, p), n
+
+
+_T_ROUTES = tuple((f"t-recurrence(t={t})",
+                   lambda n, fam, t=t: build_via_t_recurrence(n, fam, t))
+                  for t in range(0, 4))
+
+
+def _route_domain(ps, m_max: int, n_max: int, routes):
+    return ((fam, n, {"route": label}, build(n, fam))
+            for fam, n in _rows(ps, m_max, n_max) for label, build in routes)
+
+
+def check_four_way_p2() -> CheckResult:
+    routes = (("reduction", build_by_reduction),
+              ("three-term", build_by_three_term)) + _T_ROUTES
+    return _row_sweep("construction-four-way-p2", "p=2, m<=6, n<=30, t<=3",
+                      _route_domain((2,), 6, 30, routes), ("got", "expected"),
+                      "route comparisons")
 
 
 def check_three_way_other_p() -> CheckResult:
-    failures = []
-    count = 0
-    for p in (1, 3, 4):
-        for m in range(0, 5):
-            fam = Family(m, p)
-            for n in range(m, 17):
-                base = build_definitional(n, fam)
-                others = {"reduction": build_by_reduction(n, fam)}
-                for t in range(0, 4):
-                    others[f"t-recurrence(t={t})"] = \
-                        build_via_t_recurrence(n, fam, t)
-                for label, poly in others.items():
-                    count += 1
-                    if poly != base:
-                        failures.append({"family": str(fam), "n": str(n),
-                                         "route": label, "got": str(poly),
-                                         "expected": str(base)})
-    wit, extra = _witnesses(failures)
-    return CheckResult("construction-reduction-trecurrence",
-                       "p in {1,3,4}, m<=4, n<=16, t<=3",
-                       "pass" if not failures else "fail", wit,
-                       f"{count} route comparisons{extra}")
+    routes = (("reduction", build_by_reduction),) + _T_ROUTES
+    return _row_sweep("construction-reduction-trecurrence",
+                      "p in {1,3,4}, m<=4, n<=16, t<=3",
+                      _route_domain((1, 3, 4), 4, 16, routes),
+                      ("got", "expected"), "route comparisons")
 
 
 def check_three_term_printed() -> CheckResult:
     """The three-term corollary exactly as published (no closing term)."""
-    failures = []
-    count = 0
-    for m in range(0, 7):
-        fam = Family(m, 2)
-        for n in range(m, 31):
-            count += 1
-            got = build_by_three_term(n, fam, variant="printed")
-            base = build_definitional(n, fam)
-            if got != base:
-                failures.append({"family": str(fam), "n": str(n),
-                                 "printed": str(got), "definitional": str(base)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(
+    return _row_sweep(
         "three-term-printed", "p=2, m<=6, n<=30",
-        "pass" if not failures else "fail", wit,
-        f"{count} rows compared; printed seeds drop the closing binomial "
-        f"term, so rows m+2..2m disagree for m>=2{extra}")
+        ((fam, n, {}, build_by_three_term(n, fam, variant="printed"))
+         for fam, n in _rows((2,), 6, 30)),
+        ("printed", "definitional"),
+        "rows compared; printed seeds drop the closing binomial term, so "
+        "rows m+2..2m disagree for m>=2")
 
 
 def check_reduction_printed() -> CheckResult:
     """The reduction to m = 0 exactly as published, p<=2 safe only."""
-    failures = []
-    count = 0
-    for p in (3, 4):
-        for m in range(0, 5):
-            fam = Family(m, p)
-            for n in range(m, 17):
-                count += 1
-                got = build_by_reduction(n, fam, variant="printed")
-                base = build_definitional(n, fam)
-                if got != base:
-                    failures.append({"family": str(fam), "n": str(n),
-                                     "printed": str(got),
-                                     "definitional": str(base)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(
+    return _row_sweep(
         "reduction-printed", "p in {3,4}, m<=4, n<=16",
-        "pass" if not failures else "fail", wit,
-        f"{count} rows compared; the window claim in the published proof "
-        f"(counts vanish past the diagonal) only holds for p<=2{extra}")
+        ((fam, n, {}, build_by_reduction(n, fam, variant="printed"))
+         for fam, n in _rows((3, 4), 4, 16)),
+        ("printed", "definitional"),
+        "rows compared; the window claim in the published proof (counts "
+        "vanish past the diagonal) only holds for p<=2")
 
 
 def check_t_recurrence_printed() -> CheckResult:
     """The t-fold recurrence exactly as published, which is p<=2 safe only."""
-    failures = []
-    count = 0
-    for p in (3, 4):
-        for m in range(0, 4):
-            fam = Family(m, p)
-            for n in range(m, 11):
-                for t in range(1, 4):
-                    count += 1
-                    got = build_via_t_recurrence(n, fam, t, variant="printed")
-                    base = build_definitional(n, fam)
-                    if got != base:
-                        failures.append({"family": str(fam), "n": str(n),
-                                         "t": str(t), "printed": str(got),
-                                         "definitional": str(base)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(
+    return _row_sweep(
         "t-recurrence-printed", "p in {3,4}, m<=3, n<=10, 1<=t<=3",
-        "pass" if not failures else "fail", wit,
-        f"{count} rows compared; the printed sum silently drops counts whose "
-        f"power index goes negative, which only cancels for p<=2{extra}")
+        ((fam, n, {"t": str(t)},
+          build_via_t_recurrence(n, fam, t, variant="printed"))
+         for fam, n in _rows((3, 4), 3, 10) for t in range(1, 4)),
+        ("printed", "definitional"),
+        "rows compared; the printed sum silently drops counts whose power "
+        "index goes negative, which only cancels for p<=2")
 
 
 # ------------------------------------------------------------------ trig

@@ -2,7 +2,8 @@
 
 The enumerator here is written from scratch on itertools.combinations so
 that neither the closed form nor the package's mask-walking kernels can
-agree with it by construction.
+agree with it by construction.  The numpy kernel is also compared with
+the pure-Python reference kernel, mask walk against mask walk.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from blockcheb import _subsetcount_py
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
-                                  check_identity, f_closed, f_oracle,
+                                  _kernel, check_identity, f_closed, f_oracle,
                                   sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
 
@@ -140,16 +141,29 @@ def test_unknown_identity_rejected():
 # --------------------------------------------------------------- kernels
 
 def test_backend_is_declared():
-    assert BACKEND in ("c-extension", "pure-python")
+    assert BACKEND == "numpy"
 
 
-def test_compiled_and_fallback_kernels_agree():
-    compiled = pytest.importorskip("blockcheb._subsetcount")
+def test_numpy_and_reference_kernels_agree():
     for p in (1, 2, 3):
         for n in range(0, 4):
             for m in range(0, 12 - n * p + 1):
-                assert list(compiled.count_intersecting_by_size(n, p, m)) == \
-                    list(_subsetcount_py.count_intersecting_by_size(n, p, m))
+                assert _kernel(n, p, m) == \
+                    _subsetcount_py.count_intersecting_by_size(n, p, m)
+
+
+def test_kernel_spans_several_chunks():
+    # 2^21 masks: 128 chunks of 2^14.
+    counts = _kernel(5, 3, 6)
+    assert len(counts) == 22
+    assert counts == [f_closed(5, s - 5, 6, 3) for s in range(22)]
+
+
+def test_kernel_rejects_ground_set_out_of_range():
+    with pytest.raises(ValueError):
+        _kernel(5, 5, 0)
+    with pytest.raises(ValueError):
+        _kernel(0, 1, -1)
 
 
 def test_fallback_kernel_shape():

@@ -220,6 +220,12 @@ def test_config_errors_exit_2(capsys):
     code, _, err = _run(capsys, "gram", "--range", "35")
     assert code == 2
     assert "3..8" in err
+    code, out, err = _run(capsys, "eval", "--n", "3", "--x=abc")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = _run(capsys, "gram", "--range", "a..b")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockcheb
 from blockcheb import __version__
 from blockcheb.documents import (SCHEMA_VERSION, TriangleCache,
                                  TriangleDocument, build_document, from_bfile,
@@ -153,3 +157,48 @@ def test_cache_discards_version_mismatch(tmp_path):
 
 def test_cache_missing_file(tmp_path):
     assert TriangleCache(str(tmp_path)).load(Family(4, 2)) is None
+
+
+def test_cache_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(doc):
+        raise OSError("disk full")
+    monkeypatch.setattr("blockcheb.documents.to_json", fail)
+    with pytest.raises(OSError):
+        TriangleCache(str(tmp_path)).document(P_FAMILY, 5)
+    assert os.listdir(tmp_path) == []
+
+
+# Extends the (0, 2) cache one row at a time, starting on a line from stdin.
+_CACHE_WRITER = """
+import sys
+from blockcheb.documents import TriangleCache
+from blockcheb.polyfamily import U_FAMILY
+cache = TriangleCache(sys.argv[1])
+print("ready", flush=True)
+sys.stdin.readline()
+for max_n in range(1, 51):
+    cache.document(U_FAMILY, max_n)
+"""
+
+
+def test_cache_shared_by_two_processes(tmp_path):
+    env = dict(os.environ)
+    package_root = str(Path(blockcheb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    writers = [subprocess.Popen([sys.executable, "-c", _CACHE_WRITER,
+                                 str(tmp_path)], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env) for _ in range(2)]
+    for proc in writers:
+        assert proc.stdout.readline() == "ready\n"
+    for proc in writers:  # both start writing at once
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
+    for proc in writers:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert err == ""
+    assert TriangleCache(str(tmp_path)).load(U_FAMILY) == \
+        build_document(U_FAMILY, 50)
+    assert os.listdir(tmp_path) == ["triangle_m0_p2.json"]
