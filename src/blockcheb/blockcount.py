@@ -73,7 +73,9 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
     return _f_closed_raw(n, k, m, p)
 
 
-@lru_cache(maxsize=None)
+# Bounded: a verify run fills about 7k entries, an oracle sweep to ground
+# 20 about 16k.
+@lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
     total = 0

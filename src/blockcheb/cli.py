@@ -19,7 +19,7 @@ from .blockcount import sweep_oracle_vs_closed
 from .documents import TriangleCache, build_document, serialize
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
 from .orthocheck import Weight, gram_matrix
-from .polyfamily import Family, P_FAMILY, build_definitional
+from .polyfamily import Family, P_FAMILY, build_definitional, check_row
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -119,6 +119,7 @@ def _closed_zero_exact(k: int, n: int) -> str:
 
 def cmd_zeros(args) -> int:
     family = _family(args)
+    check_row(args.n, family)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "kind": "zeros",

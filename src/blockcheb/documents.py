@@ -64,9 +64,8 @@ def build_document(family: Family, max_n: int) -> TriangleDocument:
     if max_n < family.m:
         raise InvalidConfigError(
             f"max_n={max_n} precedes the first row n={family.m}")
-    tri = triangle(family)
-    rows = tuple((n, tuple(str(c) for c in tri.row(n)))
-                 for n in range(family.m, max_n + 1))
+    rows = tuple((n, tuple(str(c) for c in row))
+                 for n, row in enumerate(triangle(family).rows(max_n), family.m))
     return TriangleDocument(family.m, family.p, rows, tuple(oeis_refs(family)),
                             f"blockcheb {__version__}")
 

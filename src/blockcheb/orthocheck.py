@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidConfigError
 from .exact import PiRational, TrigPoly, cos_power, sin_power
-from .polyfamily import Family, IntPolynomial, build_definitional
+from .polyfamily import Family, IntPolynomial, build_definitional, check_row
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,7 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
     lo, hi = n_range
     if lo > hi or lo < family.m:
         raise InvalidConfigError(f"bad row range {lo}..{hi} for family {family}")
+    check_row(hi, family)
     entries = {}
     for n in range(lo, hi + 1):
         for m in range(n, hi + 1):

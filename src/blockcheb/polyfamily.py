@@ -10,6 +10,13 @@ otherwise.  Family (0, 2) gives the Chebyshev U polynomials, (1, 2) the
 Chebyshev T polynomials, and (2, 2) the family all the analytic results
 in this package are about.
 
+Triangle rows come from the generating function of the counts,
+f(a, b, m, p) = [x^(a+b)] ((1+x)^p - 1)^a (1+x)^m, one column per a
+extended by one coefficient per row (see Triangle).  coefficient(), the
+boundary terms of the corrected constructions and the coefficient
+recurrences evaluate the closed form f_closed instead, so the triangle is
+checked against a route it does not share.
+
 Besides the definitional route the module implements the three published
 alternative constructions (reduction to the m = 0 family, the p = 2
 three-term recurrence, and the t-fold recurrence) plus the published
@@ -21,11 +28,16 @@ are available and the disagreement is pinned in the tests.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from .blockcount import f_closed
 from .errors import InvalidConfigError
 from .exact import binomial
+
+# Largest row a Triangle builds: (1, 4) to n = 1000 takes a few seconds
+# and its serialized triangle alone runs to about 120 MB.
+MAX_ROW = 1000
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,21 @@ def _coeff_any(n: int, k: int, family: Family) -> int:
 
 
 class Triangle:
-    """Cached coefficient rows of one family, grown on demand.
+    """Coefficient rows of one family, grown on demand from its generating function.
+
+    The coefficient of x^k in row n is (-1)^b [x^d] Q_a with d = n - m,
+    b = d - a, k = n - 2b and
+
+        Q_a = ((1+x)^p - 1)^a (1+x)^m,
+
+    the generating function of the block counts f(a, b, m, p).  Each
+    column Q_a satisfies Q_a = ((1+x)^p - 1) Q_(a-1), so its coefficient
+    at degree d is sum_{j=1..p} C(p,j) [x^(d-j)] Q_(a-1), and
+    [x^d] Q_0 = C(m, d).  Adding a row therefore extends every column by
+    one coefficient, O(n p) additions, and needs only the coefficients
+    of the last p degrees.  The closed form f_closed and the
+    enumeration oracle stay independent of this route; coefficient() and
+    the alternative constructions' boundary terms use the closed form.
 
     Extension is serialized by a lock; reads of already-present rows are
     plain list lookups and safe alongside the extension.
@@ -176,23 +202,49 @@ class Triangle:
     def __init__(self, family: Family):
         self.family = family
         self._rows: list[tuple[int, ...]] = []
+        # The coefficients [x^t] Q_a, a = 0..t, of the last p degrees t,
+        # newest first.
+        self._recent: deque[list[int]] = deque(maxlen=family.p)
+        self._weights = [binomial(family.p, j) for j in range(1, family.p + 1)]
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple[int, ...]:
         """Coefficients (c(n,0), ..., c(n,n)) of the degree-n row."""
-        if n < self.family.m:
-            raise InvalidConfigError(f"row {n} below triangle start {self.family.m}")
+        check_row(n, self.family)
         idx = n - self.family.m
         if idx >= len(self._rows):
             with self._lock:
                 while len(self._rows) <= idx:
-                    deg = self.family.m + len(self._rows)
-                    self._rows.append(tuple(
-                        _coeff_any(deg, k, self.family) for k in range(deg + 1)))
+                    self._rows.append(self._next_row())
         return self._rows[idx]
 
     def rows(self, max_n: int) -> list[tuple[int, ...]]:
-        return [self.row(n) for n in range(self.family.m, max_n + 1)]
+        if max_n < self.family.m:
+            return []
+        self.row(max_n)
+        return self._rows[:max_n - self.family.m + 1]
+
+    def _next_row(self) -> tuple[int, ...]:
+        m = self.family.m
+        d = len(self._rows)
+        n = m + d
+        level = [binomial(m, d)] + [0] * d  # [x^d] Q_a, a = 0..d
+        for w, prev in zip(self._weights, self._recent):
+            for a, value in enumerate(prev, 1):
+                level[a] += w * value
+        self._recent.appendleft(level)
+        coeffs = [0] * (n + 1)
+        for a in range(max(0, (d - m + 1) // 2), d + 1):
+            coeffs[m - d + 2 * a] = -level[a] if (d - a) % 2 else level[a]
+        return tuple(coeffs)
+
+
+def check_row(n: int, family: Family) -> None:
+    """Reject a row index outside the family's triangle or above MAX_ROW."""
+    if n < family.m:
+        raise InvalidConfigError(f"row {n} below triangle start {family.m}")
+    if n > MAX_ROW:
+        raise InvalidConfigError(f"row {n} above the row limit {MAX_ROW}")
 
 
 _triangles: dict[Family, Triangle] = {}

@@ -22,7 +22,7 @@ import blockcheb
 from blockcheb import __version__
 from blockcheb.cli import main
 from blockcheb.documents import build_document, to_bfile
-from blockcheb.polyfamily import P_FAMILY
+from blockcheb.polyfamily import MAX_ROW, P_FAMILY
 
 
 def _run(capsys, *argv):
@@ -226,6 +226,17 @@ def test_config_errors_exit_2(capsys):
     code, out, err = _run(capsys, "gram", "--range", "a..b")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    past_limit = str(MAX_ROW + 1)
+    for argv in (("triangle", "--max-n", past_limit),
+                 ("export", "--max-n", past_limit),
+                 ("poly", "--n", past_limit),
+                 ("eval", "--n", past_limit, "--x", "1"),
+                 ("zeros", "--n", past_limit),
+                 ("extrema", "--n", past_limit),
+                 ("gram", "--range", f"3..{past_limit}")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: row {past_limit} above the row limit {MAX_ROW}\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

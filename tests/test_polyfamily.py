@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockcheb.errors import InvalidConfigError
-from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
-                                  U_FAMILY, build_by_reduction,
+from blockcheb.polyfamily import (MAX_ROW, Family, IntPolynomial, P_FAMILY,
+                                  T_FAMILY, Triangle, U_FAMILY,
+                                  build_by_reduction,
                                   build_by_three_term, build_definitional,
                                   build_via_t_recurrence,
                                   chebyshev_u_coefficient,
@@ -88,6 +89,44 @@ def test_triangle_is_shared_and_cached():
     assert triangle(P_FAMILY) is triangle(Family(2, 2))
     rows = triangle(Family(3, 3)).rows(6)
     assert [len(r) for r in rows] == [4, 5, 6, 7]
+    assert triangle(Family(3, 3)).rows(2) == []
+
+
+# Triangle rows come from generating-function columns; the tests below tie
+# them to routes that do not share that code.
+
+def test_triangle_rows_match_closed_form():
+    for m in range(7):
+        for p in range(1, 6):
+            fam = Family(m, p)
+            tri = Triangle(fam)
+            for n in range(m, 41):
+                expected = tuple(coefficient(n, k, fam) for k in range(n + 1))
+                assert tri.row(n) == expected, (m, p, n)
+
+
+def test_p22_rows_factor_through_chebyshev_u():
+    one_minus_x2 = IntPolynomial((1, 0, -1))
+    tri = Triangle(P_FAMILY)
+    for n in range(3, 201):
+        u = build_by_three_term(n - 2, U_FAMILY)
+        assert IntPolynomial(tri.row(n)) == -(one_minus_x2 * u), n
+
+
+def test_triangle_rows_same_stepwise_or_at_once():
+    for fam in (Family(0, 1), Family(2, 2), Family(3, 4), Family(5, 3)):
+        stepwise = Triangle(fam)
+        rows = [stepwise.row(n) for n in range(fam.m, 61)]
+        assert Triangle(fam).rows(60) == rows
+
+
+def test_row_limit():
+    tri = Triangle(Family(0, 1))
+    assert tri.row(MAX_ROW) == (0,) * MAX_ROW + (1,)
+    with pytest.raises(InvalidConfigError, match="row limit"):
+        tri.row(MAX_ROW + 1)
+    with pytest.raises(InvalidConfigError, match="row limit"):
+        Triangle(P_FAMILY).rows(MAX_ROW + 1)
 
 
 @settings(max_examples=60)
