@@ -6,11 +6,14 @@ The degree-n row P_n of the (2, 2) family satisfies, for n >= 3,
 
 which gives closed-form zeros {-1, 1} and cos(k pi / (n-1)), the bound
 P_n(x)^2 + x^2 <= 1 on [-1, 1], and a monic sup norm within a factor two
-of the Chebyshev minimum.  This module checks all of that numerically.
+of the Chebyshev minimum.  The bound is proved exactly, as an integer
+polynomial identity that follows from the Pell identity for Chebyshev
+T and U (see bound_check); the zeros, extrema and sup norm are checked
+numerically.
 
 Floating Horner is useless at the tolerances involved (coefficient sums
 reach 1e7 by degree 25, so plain double evaluation carries ~1e-9 noise).
-Every certification therefore evaluates rows exactly at the float point:
+Every numeric check therefore evaluates rows exactly at the float point:
 a double is a dyadic rational num/2^s, so the Horner recurrence can be
 run in integer arithmetic and the sign or value read off exactly.
 """
@@ -24,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConvergenceError, InvalidConfigError
-from .polyfamily import Family, IntPolynomial, P_FAMILY, build_definitional
+from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
+                         build_definitional)
 
 
 def evaluate(poly: IntPolynomial, x):
@@ -72,9 +76,9 @@ def trig_form_residual(n: int, theta: float) -> float:
     """
     if n < 3:
         raise InvalidConfigError("trig closed form holds for n >= 3")
-    poly = build_definitional(n, P_FAMILY)
-    exact = float(evaluate_exact_at_float(poly, math.cos(theta)))
-    return exact + math.sin(theta) * math.sin((n - 1) * theta)
+    num, den = _eval_ratio(build_definitional(n, P_FAMILY), math.cos(theta))
+    # int true division rounds correctly, so this equals float(Fraction).
+    return num / den + math.sin(theta) * math.sin((n - 1) * theta)
 
 
 @dataclass(frozen=True)
@@ -292,26 +296,31 @@ def extrema(n: int) -> list[tuple[float, float]]:
     return [(0.0, 1.0)] + interior + [(math.pi, -1.0)]
 
 
-def bound_check(n: int, samples: int = 10_000) -> float:
-    """Max of P_n(x)^2 + x^2 over a uniform sample of [-1, 1], exactly.
+_ONE_MINUS_X2 = IntPolynomial((1, 0, -1))
 
-    The comparison runs on unreduced integer pairs; only the final
-    maximum is rounded to float.  The bound says the true value never
-    exceeds 1.
+
+def unit_bound_residual(p: IntPolynomial, t: IntPolynomial) -> IntPolynomial:
+    """(1 - x^2 - p^2) - (1 - x^2) t^2, zero for p = P_n and t = T_(n-1).
+
+    With P_n = -(1 - x^2) U_(n-2), the Pell identity
+    T_(n-1)^2 - (x^2 - 1) U_(n-2)^2 = 1 makes this the zero polynomial.
+    """
+    return _ONE_MINUS_X2 - p * p - _ONE_MINUS_X2 * (t * t)
+
+
+def bound_check(n: int) -> float:
+    """Max of P_n(x)^2 + x^2 on [-1, 1], certified by the Pell identity.
+
+    When unit_bound_residual vanishes for the package's own P_n and
+    T_(n-1) rows, 1 - x^2 - P_n^2 = (1 - x^2) T_(n-1)^2 is >= 0 on
+    [-1, 1] and zero at x = +-1, so the maximum is exactly 1.0.  Any
+    nonzero residual leaves the bound unproven and gives math.inf.
     """
     if n < 3:
         raise InvalidConfigError("the unit bound is asserted for n >= 3")
-    poly = build_definitional(n, P_FAMILY)
-    best_num, best_den = 0, 1
-    for i in range(samples):
-        x = -1.0 + 2.0 * i / (samples - 1)
-        pn, pd = _eval_ratio(poly, x)
-        xn, xd = x.as_integer_ratio()
-        num = pn * pn * xd * xd + xn * xn * pd * pd
-        den = pd * pd * xd * xd
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-    return best_num / best_den
+    residual = unit_bound_residual(build_definitional(n, P_FAMILY),
+                                   build_definitional(n - 1, T_FAMILY))
+    return 1.0 if residual.is_zero() else math.inf
 
 
 def monic_sup_norm(n: int) -> float:

@@ -108,7 +108,16 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     Covers all (n, k, m, p) with n*p + m <= max_ground and p <= p_max,
     with k running over every achievable subset size plus a margin on
     both ends.  Returns (number of comparisons, list of failures).
+
+    Each count is visited once, so the closed form is called uncached:
+    a sweep would fill _f_closed_raw with entries nothing reads.  The
+    loops only reach valid configurations once the bounds are checked.
     """
+    if max_ground < 0 or p_max < 1:
+        raise InvalidConfigError(
+            f"oracle sweep needs max_ground >= 0 and p_max >= 1, "
+            f"got max_ground={max_ground}, p_max={p_max}")
+    closed_sum = _f_closed_raw.__wrapped__
     checked = 0
     failures = []
     for p in range(1, p_max + 1):
@@ -117,7 +126,7 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
                 nground = n * p + m
                 for size in range(-1, nground + 2):
                     k = size - n
-                    closed = f_closed(n, k, m, p)
+                    closed = closed_sum(n, k, m, p)
                     oracle = f_oracle(n, k, m, p)
                     checked += 1
                     if closed != oracle:

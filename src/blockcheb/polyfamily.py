@@ -247,6 +247,9 @@ def check_row(n: int, family: Family) -> None:
         raise InvalidConfigError(f"row {n} above the row limit {MAX_ROW}")
 
 
+# Unbounded on purpose: it grows only with the families a process asks
+# for.  A CLI document asks for one, a full verify run registers 34, and
+# check_row caps each Triangle at MAX_ROW rows.
 _triangles: dict[Family, Triangle] = {}
 _triangles_lock = threading.Lock()
 

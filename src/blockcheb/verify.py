@@ -312,15 +312,16 @@ def check_zeros_numeric() -> CheckResult:
 
 def check_bound_unit_circle() -> CheckResult:
     worst = (0.0, None)
-    for n in range(3, 21):
+    for n in range(3, 61):
         v = bound_check(n)
         if v > worst[0]:
             worst = (v, n)
     ok = worst[0] <= 1 + 1e-12
     wit = ({"n": str(worst[1]), "max P^2+x^2": repr(worst[0])},)
-    return CheckResult("bound-unit-circle", "3<=n<=20, 10^4 samples each",
+    return CheckResult("bound-unit-circle", "3<=n<=60, exact identity",
                        "pass" if ok else "fail", wit,
-                       "P_n(x)^2 + x^2 <= 1 on [-1,1]")
+                       "P_n(x)^2 + x^2 <= 1 on [-1,1]: 1 - x^2 - P_n^2 = "
+                       "(1-x^2) T_(n-1)^2 as integer polynomials (Pell)")
 
 
 def check_bound_monic_sup() -> CheckResult:

@@ -192,8 +192,9 @@ def test_criterion_12_bounds():
     circle = check_bound_unit_circle()
     monic = check_bound_monic_sup()
     ok = circle.status == "pass" and monic.status == "pass"
-    _criterion(12, ok, "P_n^2 + x^2 <= 1 on 10^4 samples and monic "
-               "sup-norm within 2^(2-n) + 1e-12 for 3<=n<=20")
+    _criterion(12, ok, "P_n^2 + x^2 <= 1 on [-1,1] by the exact Pell "
+               "identity for 3<=n<=60 and monic sup-norm within "
+               "2^(2-n) + 1e-12 for 3<=n<=20")
 
 
 def test_criterion_13_erratum_suite():

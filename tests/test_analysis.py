@@ -8,10 +8,10 @@ import pytest
 from blockcheb.analysis import (bound_check, closed_form_zeros, evaluate,
                                 evaluate_exact_at_float, extrema,
                                 monic_sup_norm, numeric_zeros,
-                                trig_form_residual)
+                                trig_form_residual, unit_bound_residual)
 from blockcheb.errors import ConvergenceError, InvalidConfigError
-from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
-                                  build_definitional)
+from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
+                                  U_FAMILY, build_definitional)
 
 
 # ------------------------------------------------------------- evaluation
@@ -164,8 +164,33 @@ def test_extrema_require_n3():
 # ----------------------------------------------------------------- bounds
 
 def test_unit_circle_bound_sampled():
+    # A route apart from the identity: 2000 exact samples of each row.
+    grid = [-1.0 + 2.0 * i / 1999 for i in range(2000)]
     for n in (3, 4, 7, 12, 20):
-        assert bound_check(n, samples=2000) <= 1 + 1e-12
+        poly = build_definitional(n, P_FAMILY)
+        worst = max(evaluate_exact_at_float(poly, x) ** 2 + Fraction(x) ** 2
+                    for x in grid)
+        assert worst == 1  # attained at x = -1 and 1, where P_n vanishes
+        assert bound_check(n) == 1.0
+
+
+def test_unit_bound_residual_vanishes_on_package_rows():
+    for n in range(3, 201):
+        residual = unit_bound_residual(build_definitional(n, P_FAMILY),
+                                       build_definitional(n - 1, T_FAMILY))
+        assert residual.is_zero(), n
+
+
+def test_unit_bound_residual_catches_wrong_rows():
+    for n in (3, 8, 15):
+        p = build_definitional(n, P_FAMILY)
+        t = build_definitional(n - 1, T_FAMILY)
+        for k in range(n + 1):
+            off = list(p.coeffs)
+            off[k] += 1
+            assert not unit_bound_residual(IntPolynomial(off), t).is_zero()
+        wrong_t = build_definitional(n, T_FAMILY)
+        assert not unit_bound_residual(p, wrong_t).is_zero()
 
 
 def test_monic_sup_norm_sandwich():

@@ -13,8 +13,8 @@ import pytest
 
 from blockcheb import _subsetcount_py
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
-                                  _kernel, check_identity, f_closed, f_oracle,
-                                  sweep_oracle_vs_closed)
+                                  _f_closed_raw, _kernel, check_identity,
+                                  f_closed, f_oracle, sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
 
 
@@ -89,6 +89,12 @@ def test_default_sweep_is_clean():
     assert failures == []
 
 
+def test_sweep_leaves_closed_form_cache_alone():
+    _f_closed_raw.cache_clear()
+    sweep_oracle_vs_closed(max_ground=8, p_max=3)
+    assert _f_closed_raw.cache_info().currsize == 0
+
+
 def test_oracle_respects_enumeration_bound():
     assert ENUMERATION_BOUND == 24
     assert f_oracle(10, 0, 0, 2) == f_closed(10, 0, 0, 2)
@@ -105,6 +111,10 @@ def test_invalid_configurations_rejected():
         f_closed(0, 0, 0, 0)
     with pytest.raises(InvalidConfigError):
         f_oracle(1, 0, 0, -3)
+    with pytest.raises(InvalidConfigError):
+        sweep_oracle_vs_closed(max_ground=-1)
+    with pytest.raises(InvalidConfigError):
+        sweep_oracle_vs_closed(p_max=0)
 
 
 # ------------------------------------------------------------ identities

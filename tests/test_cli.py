@@ -226,6 +226,10 @@ def test_config_errors_exit_2(capsys):
     code, out, err = _run(capsys, "gram", "--range", "a..b")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1
     past_limit = str(MAX_ROW + 1)
     for argv in (("triangle", "--max-n", past_limit),
                  ("export", "--max-n", past_limit),

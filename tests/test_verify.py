@@ -7,11 +7,13 @@ the mathematics or the checks changed, and both deserve a loud test.
 """
 
 import json
+import math
 
 import pytest
 
-from blockcheb import __version__
+from blockcheb import __version__, analysis, verify
 from blockcheb.errors import InvalidConfigError
+from blockcheb.polyfamily import IntPolynomial, T_FAMILY
 from blockcheb.verify import (ERRATUM_CHECK_IDS, SUITES, VerifyReport,
                               run_suite)
 
@@ -142,3 +144,26 @@ def test_exit_code_logic_is_fail_only():
     mixed = VerifyReport("x", (CheckResult("a", "r", "pass"),
                                CheckResult("b", "r", "fail")))
     assert mixed.exit_code == 1
+
+
+def test_bound_unit_circle_fails_without_certificate(monkeypatch):
+    monkeypatch.setattr(verify, "bound_check", lambda n: math.inf)
+    check = verify.check_bound_unit_circle()
+    assert check.status == "fail"
+    assert check.witnesses == ({"n": "3", "max P^2+x^2": "inf"},)
+
+
+def test_bound_unit_circle_fails_on_a_corrupted_row(monkeypatch):
+    build = analysis.build_definitional
+
+    def corrupt_t30(n, family):
+        row = build(n, family)
+        if (n, family) == (30, T_FAMILY):
+            return row + IntPolynomial((1,))
+        return row
+    monkeypatch.setattr(analysis, "build_definitional", corrupt_t30)
+    assert analysis.bound_check(30) == 1.0
+    assert analysis.bound_check(31) == math.inf
+    check = verify.check_bound_unit_circle()
+    assert check.status == "fail"
+    assert check.witnesses == ({"n": "31", "max P^2+x^2": "inf"},)
