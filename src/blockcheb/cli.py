@@ -18,7 +18,7 @@ from .analysis import closed_form_zeros, evaluate, extrema, numeric_zeros
 from .blockcount import sweep_oracle_vs_closed
 from .documents import TriangleCache, build_document, serialize
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
-from .orthocheck import Weight, gram_matrix
+from .orthocheck import MAX_HALF_EXPONENT, Weight, gram_matrix
 from .polyfamily import Family, P_FAMILY, build_definitional, check_row
 from .verify import SUITES, run_suite
 
@@ -279,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
     gr = subs.add_parser("gram", help="weighted Gram matrix and band report")
     _add_family_flags(gr)
     gr.add_argument("--weight", type=int, default=-1,
-                    help="half-exponent q of the weight (1-x^2)^(q/2)")
+                    help="half-exponent q of the weight (1-x^2)^(q/2), "
+                         f"-1 <= q <= {MAX_HALF_EXPONENT}")
     gr.add_argument("--range", default="3..8", help="row range, e.g. 3..8")
     gr.add_argument("--no-numeric", action="store_true",
-                    help="skip the trapezoid cross-check column")
+                    help="skip the Gauss quadrature cross-check column")
     gr.set_defaults(fn=cmd_gram)
 
     ve = subs.add_parser("verify", help="run verification suites")

@@ -11,14 +11,14 @@ never through its trigonometric closed form (so those identities stay
 independent test targets).  Exact integration then reads the answer off
 the frequency-0 cosine term and the odd sine terms, giving a PiRational.
 
-The numeric backend samples the same integrand pointwise and applies a
-composite trapezoid rule in theta.  On a uniform grid the rule is exact
-(to rounding) for every cosine frequency below aliasing and every even
-sine frequency; odd sine frequencies appear only when q is even and
-n - m is even, and there the rule converges at O(N^-2), so that case
-runs on a much denser grid.  Row evaluation uses extended precision:
-coefficient sums reach 1e5 by degree 15, which leaves no float64 margin
-against the 1e-10 agreement contract.
+The numeric backend is a Gauss rule in x, exact for the polynomial
+integrands here (Golub & Welsch 1969).  Odd q splits the weight as
+(1 - x^2)^(-1/2) (1 - x^2)^((q+1)/2) and runs Gauss-Chebyshev of the
+first kind on the polynomial part (Mason & Handscomb, *Chebyshev
+Polynomials*); even q runs Gauss-Legendre on the whole polynomial.
+Rows are evaluated pointwise in extended precision, independently of the
+TrigPoly route: coefficient sums reach 1e5 by degree 15, which leaves no
+float64 margin against the 1e-10 agreement contract.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .exact import PiRational, TrigPoly, cos_power, sin_power
 from .polyfamily import Family, IntPolynomial, build_definitional, check_row
 
 
+# The exact route builds sin^(q+1) by recursion through exact.sin_power;
+# q = 200 keeps far inside the default recursion limit (q = 500 hits it).
+MAX_HALF_EXPONENT = 200
+
+
 @dataclass(frozen=True)
 class Weight:
     """The weight (1 - x^2)^(q/2) on [-1, 1], by its half-exponent q."""
@@ -43,6 +48,10 @@ class Weight:
         if self.half_exponent < -1:
             raise InvalidConfigError(
                 "weight (1-x^2)^(q/2) is integrable on [-1,1] only for q >= -1")
+        if self.half_exponent > MAX_HALF_EXPONENT:
+            raise InvalidConfigError(
+                f"weight q={self.half_exponent} above the weight limit "
+                f"{MAX_HALF_EXPONENT}")
 
     def __str__(self) -> str:
         return f"(1-x^2)^({self.half_exponent}/2)"
@@ -91,32 +100,48 @@ def _horner_array(poly: IntPolynomial, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def trapezoid_nodes(n: int, m: int, weight: Weight) -> int:
-    """Node count for the theta-trapezoid rule on one inner product.
+def quadrature_nodes(n: int, m: int, weight: Weight) -> int:
+    """Gauss nodes that integrate one inner product exactly.
 
-    8(n+m+q+4) intervals keep every frequency far below aliasing, which
-    is all the exact cases need.  Even q with n-m even is the one
-    combination whose integrand contains odd sine frequencies; there the
-    rule is merely O(N^-2) and the count jumps to 2^21, which pushes the
-    truncation error below 1e-10 for the coefficient sizes of the p = 2
-    families these tables concern.
+    N nodes are exact to degree 2N - 1; the polynomial part has degree
+    n + m + q + 1 for odd q and n + m + q for even q.
     """
-    q = weight.half_exponent
-    if q % 2 == 0 and (n - m) % 2 == 0:
-        return 1 << 21
-    return max(64, 8 * (n + m + q + 4))
+    return (n + m + weight.half_exponent) // 2 + 2
+
+
+# Name the benchmark tracer hooks; removed when ROADMAP item 1 re-points it.
+trapezoid_nodes = quadrature_nodes
+
+
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights in extended precision,
+    by Newton's method on the Legendre three-term recurrence."""
+    k = np.arange(count, 0, -1, dtype=np.longdouble)
+    x = np.cos(_LONG_PI * (k - 0.25) / (count + 0.5))
+    for _ in range(100):
+        prev, cur = np.ones_like(x), x
+        for j in range(2, count + 1):
+            prev, cur = cur, ((2 * j - 1) * x * cur - (j - 1) * prev) / j
+        slope = count * (x * cur - prev) / (x * x - 1)
+        step = cur / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 4 * np.finfo(x.dtype).eps:
+            break
+    return x, 2 / ((1 - x * x) * slope * slope)
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
     pn, pm = _rows(n, m, family)
-    steps = trapezoid_nodes(n, m, weight)
-    theta = np.linspace(np.longdouble(0.0), _LONG_PI, steps + 1,
-                        dtype=np.longdouble)
-    x = np.cos(theta)
+    count = quadrature_nodes(n, m, weight)
+    q = weight.half_exponent
+    if q % 2:
+        k = np.arange(1, count + 1, dtype=np.longdouble)
+        x, w = np.cos((2 * k - 1) * _LONG_PI / (2 * count)), _LONG_PI / count
+    else:
+        x, w = _gauss_legendre(count)
     vn = _horner_array(pn, x)
     vm = vn if n == m else _horner_array(pm, x)
-    integrand = vn * vm * np.sin(theta) ** sin_exponent(weight)
-    return float(np.trapezoid(integrand, theta))
+    return float(np.sum(w * vn * vm * (1 - x * x) ** ((q + 1) // 2)))
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,7 @@ def test_criterion_10_numeric_backend_agreement():
     check = check_gram_numeric_agreement()
     worst = check.witnesses[0]["difference"]
     _criterion(10, check.status == "pass",
-               f"trapezoid backend within {worst} of exact on every "
+               f"Gauss quadrature backend within {worst} of exact on every "
                f"Gram entry of criteria 7-9")
 
 

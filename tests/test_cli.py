@@ -22,6 +22,7 @@ import blockcheb
 from blockcheb import __version__
 from blockcheb.cli import main
 from blockcheb.documents import build_document, to_bfile
+from blockcheb.orthocheck import MAX_HALF_EXPONENT
 from blockcheb.polyfamily import MAX_ROW, P_FAMILY
 
 
@@ -226,6 +227,10 @@ def test_config_errors_exit_2(capsys):
     code, out, err = _run(capsys, "gram", "--range", "a..b")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = _run(capsys, "gram", "--weight", "500", "--range", "3..3",
+                          "--no-numeric")
+    assert (code, out) == (2, "")
+    assert err == f"error: weight q=500 above the weight limit {MAX_HALF_EXPONENT}\n"
     for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0")):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv

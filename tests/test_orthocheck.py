@@ -11,14 +11,18 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from blockcheb import orthocheck
 from blockcheb.errors import InvalidConfigError
 from blockcheb.exact import PiRational, TrigPoly
-from blockcheb.orthocheck import (GramEntry, Weight, gram_matrix,
+from blockcheb.orthocheck import (MAX_HALF_EXPONENT, GramEntry, Weight,
+                                  _gauss_legendre, gram_matrix,
                                   inner_product_exact, inner_product_numeric,
                                   poly_to_trig, sin_exponent,
-                                  theorem_band_value, trapezoid_nodes)
+                                  theorem_band_value)
 from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY,
                                   build_definitional)
 
@@ -30,6 +34,17 @@ def test_weight_validation_and_str():
     assert str(Weight(3)) == "(1-x^2)^(3/2)"
     with pytest.raises(InvalidConfigError):
         Weight(-2)
+    with pytest.raises(InvalidConfigError, match="weight limit"):
+        Weight(MAX_HALF_EXPONENT + 1)
+
+
+def test_weight_limit_completes_on_both_routes():
+    # The exact route recurses once per sine power; the limit must stay
+    # inside the recursion limit even under the test runner's stack.
+    w = Weight(MAX_HALF_EXPONENT)
+    exact = float(inner_product_exact(3, 3, P_FAMILY, w))
+    assert exact > 0
+    assert abs(exact - inner_product_numeric(3, 3, P_FAMILY, w)) <= 1e-10
 
 
 def test_sin_exponent_off_by_one_guard():
@@ -126,12 +141,23 @@ def test_mpmath_quadrature_cross_check():
 
 # ----------------------------------------------------------- numeric side
 
-def test_trapezoid_node_selection():
-    assert trapezoid_nodes(3, 3, Weight(1)) == 88
-    assert trapezoid_nodes(3, 3, Weight(-1)) == 72
-    assert trapezoid_nodes(3, 4, Weight(0)) == 88
-    assert trapezoid_nodes(4, 4, Weight(0)) == 1 << 21
-    assert trapezoid_nodes(3, 3, Weight(-1)) >= 64
+@pytest.mark.parametrize("count", [2, 3, 10, 25])
+def test_gauss_legendre_matches_numpy(count):
+    nodes, weights = _gauss_legendre(count)
+    want_nodes, want_weights = leggauss(count)
+    assert np.max(np.abs(nodes.astype(float) - want_nodes)) <= 1e-15
+    assert np.max(np.abs(weights.astype(float) - want_weights)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [-1, 0, 3])
+def test_node_count_is_load_bearing(q, monkeypatch):
+    w = Weight(q)
+    exact = float(inner_product_exact(15, 15, P_FAMILY, w))
+    assert abs(exact - inner_product_numeric(15, 15, P_FAMILY, w)) <= 1e-10
+    full = orthocheck.quadrature_nodes
+    monkeypatch.setattr(orthocheck, "quadrature_nodes",
+                        lambda n, m, weight: full(n, m, weight) - 2)
+    assert abs(exact - inner_product_numeric(15, 15, P_FAMILY, w)) > 1e-10
 
 
 def test_numeric_agrees_on_cheap_entries():
@@ -145,13 +171,13 @@ def test_numeric_agrees_on_cheap_entries():
 
 
 def test_numeric_agrees_on_dense_entries():
-    # Even weight with even n-m is the only odd-sine case; the rule is
-    # O(N^-2) there and runs on the 2^21 grid.
-    w = Weight(0)
-    for n, m in ((4, 4), (3, 5)):
-        gap = abs(float(inner_product_exact(n, m, P_FAMILY, w))
-                  - inner_product_numeric(n, m, P_FAMILY, w))
-        assert gap <= 1e-10
+    for q in (-1, 0, 1, 2, 3, 5):
+        w = Weight(q)
+        for n in range(3, 21):
+            for m in range(n, 21):
+                gap = abs(float(inner_product_exact(n, m, P_FAMILY, w))
+                          - inner_product_numeric(n, m, P_FAMILY, w))
+                assert gap <= 1e-10, (n, m, q)
 
 
 # ------------------------------------------------------------ gram matrix
