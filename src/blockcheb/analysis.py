@@ -8,8 +8,9 @@ which gives closed-form zeros {-1, 1} and cos(k pi / (n-1)), the bound
 P_n(x)^2 + x^2 <= 1 on [-1, 1], and a monic sup norm within a factor two
 of the Chebyshev minimum.  The bound is proved exactly, as an integer
 polynomial identity that follows from the Pell identity for Chebyshev
-T and U (see bound_check); the zeros, extrema and sup norm are checked
-numerically.
+T and U (see bound_check); the extrema and sup norm are checked
+numerically, and the zeros against real roots isolated exactly by Sturm
+sequences over the integers (see numeric_zeros).
 
 Floating Horner is useless at the tolerances involved (coefficient sums
 reach 1e7 by degree 25, so plain double evaluation carries ~1e-9 noise).
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ConvergenceError, InvalidConfigError
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
@@ -116,90 +115,110 @@ def closed_form_zeros(n: int) -> RootSet:
 
 
 def _bisect_exact(poly: IntPolynomial, lo: float, hi: float) -> float:
-    """Shrink a sign-change bracket of poly to float resolution."""
-    slo = _exact_sign(poly, lo)
-    for _ in range(200):
+    """Shrink (lo, hi] around one simple root of poly to float resolution.
+
+    The reference sign is read at hi, because lo may be a neighbouring root.
+    """
+    shi = smid = _exact_sign(poly, hi)
+    mid = hi
+    while smid:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if not lo < mid < hi:
             break
         smid = _exact_sign(poly, mid)
-        if smid == 0:
-            return mid
-        if smid == slo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if smid == shi else (mid, hi)
+    return mid
+
+
+def _primitive(poly: IntPolynomial) -> IntPolynomial:
+    """poly divided by the positive gcd of its coefficients."""
+    g = math.gcd(*poly.coeffs)
+    return IntPolynomial([c // g for c in poly.coeffs]) if g > 1 else poly
+
+
+def _divide(a: IntPolynomial, b: IntPolynomial, scale: int = 1) -> tuple:
+    """Quotient and remainder of scale^e * a by b, e = deg a - deg b + 1.
+
+    scale = 1 divides exactly by a primitive factor b of a (Gauss's lemma);
+    scale = |lead b| > 0 pseudo-divides and keeps the signs of a Sturm chain.
+    """
+    r, q, lead = list(a.coeffs), [], b.coeffs[-1]
+    for s in range(len(r) - len(b.coeffs), -1, -1):
+        c = scale * r[-1] // lead
+        q = [scale * x for x in q] + [c]
+        r = [scale * x - (c * b.coeffs[i - s] if i >= s else 0)
+             for i, x in enumerate(r[:-1])]
+    return IntPolynomial(q[::-1]), IntPolynomial(r)
+
+
+def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """p, p' and the negated primitive pseudo-remainders down to gcd(p, p')."""
+    chain = [p, _primitive(p.derivative())]
+    while chain[-1].degree > 0:
+        rem = _divide(chain[-2], chain[-1], abs(chain[-1].coeffs[-1]))[1]
+        if rem.is_zero():
+            break
+        chain.append(-_primitive(rem))
+    return chain
+
+
+def _real_roots(p: IntPolynomial) -> dict[float, int]:
+    """Real roots of p (degree >= 1) with their multiplicities.
+
+    Sturm's theorem on the square-free part q = p / gcd(p, p'): with V(x)
+    the sign variations of q's chain at x, exactly V(lo) - V(hi) roots of
+    q lie in (lo, hi].  Halving dyadic intervals from the power-of-two
+    Cauchy bound isolates each root, and exact bisection takes it to float
+    resolution.  A root's multiplicity is one more than in the gcd.
+    """
+    chain = _sturm_chain(p)
+    g, q = chain[-1], p
+    if g.degree > 0:
+        q = _divide(p, g)[0]
+        chain = _sturm_chain(q)
+    k = (max(map(abs, q.coeffs[:-1])) // abs(q.coeffs[-1]) + 2).bit_length()
+    if k > 1023:
+        raise ConvergenceError(f"root bound 2^{k} is beyond float range")
+
+    def variations(x: float) -> int:
+        signs = [s for s in (_exact_sign(c, x) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = math.ldexp(1.0, k)
+    todo = [(-bound, bound, variations(-bound), variations(bound))]
+    roots, distinct = {}, todo[0][2] - todo[0][3]
+    while todo:
+        lo, hi, vlo, vhi = todo.pop()
+        mid = 0.5 * (lo + hi)
+        if vlo - vhi == 1:
+            roots[_bisect_exact(q, lo, hi)] = 1
+        elif vlo > vhi and lo < mid < hi:
+            vmid = variations(mid)
+            todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    if len(roots) != distinct:
+        raise ConvergenceError(f"{distinct} distinct roots, some closer "
+                               f"than one float: {sorted(roots)}")
+    for x, extra in (_real_roots(g).items() if g.degree > 0 else ()):
+        roots[x] += extra
+    return roots
 
 
 def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
-    """All real roots of poly via exact-sign grid bisection.
+    """All real roots of poly with multiplicities, by exact Sturm isolation.
 
-    Roots at 0 are split off symbolically first (that is the only
-    multiple root in this corpus).  The scan interval is the tight
-    [-1-1e-6, 1+1e-6] for the (2,2) family, whose roots are known to lie
-    in [-1, 1]; otherwise the Cauchy bound 1 + max|c_k/c_deg|.  A
-    companion-matrix pass (numpy.roots) backstops roots the grid might
-    straddle without a sign change.
+    One route for every family, in integer arithmetic (see _real_roots):
+    no sampling grid and no tolerance, so a multiple root is one entry
+    with its multiplicity.  For the (2, 2) family, a root count short of
+    the degree is a ConvergenceError, since all its roots are real.
     """
     if poly.is_zero():
         raise InvalidConfigError("zero polynomial has no root set")
-    deg = poly.degree
-    if deg == 0:
-        return RootSet(None, family, (), ())
-
-    shift = 0
-    while poly.coeff(shift) == 0:
-        shift += 1
-    base = IntPolynomial(poly.coeffs[shift:])
-
-    found: list[float] = []
-    if base.degree > 0:
-        if family is not None and family == P_FAMILY:
-            lo, hi = -1.0 - 1e-6, 1.0 + 1e-6
-        else:
-            lead = base.coeffs[-1]
-            bound = 1.0 + max(abs(c) / abs(lead) for c in base.coeffs)
-            lo, hi = -bound, bound
-        grid = np.linspace(lo, hi, max(1025, 128 * base.degree + 1))
-        signs = [_exact_sign(base, float(g)) for g in grid]
-        for i in range(len(grid) - 1):
-            if signs[i] == 0:
-                found.append(float(grid[i]))
-            elif signs[i] * signs[i + 1] < 0:
-                found.append(_bisect_exact(base, float(grid[i]), float(grid[i + 1])))
-        if signs[-1] == 0:
-            found.append(float(grid[-1]))
-
-        companion = np.roots(list(reversed(base.coeffs)))
-        for r in companion:
-            if abs(r.imag) > 1e-8:
-                continue
-            xr = float(r.real)
-            if any(abs(xr - f) <= 1e-7 * max(1.0, abs(f)) for f in found):
-                continue
-            eps = 1e-9 * max(1.0, abs(xr))
-            a, b = xr - eps, xr + eps
-            for _ in range(12):
-                if _exact_sign(base, a) * _exact_sign(base, b) <= 0:
-                    found.append(_bisect_exact(base, a, b))
-                    break
-                eps *= 4.0
-                a, b = xr - eps, xr + eps
-            else:
-                found.append(xr)
-
-    roots: list[tuple[float, int]] = [(f, 1) for f in found]
-    if shift:
-        roots.append((0.0, shift))
-    roots.sort()
-
-    if family is not None and family == P_FAMILY and sum(m for _, m in roots) != deg:
+    roots = sorted(_real_roots(poly).items()) if poly.degree > 0 else []
+    xs, ks = tuple(zip(*roots)) or ((), ())
+    if family == P_FAMILY and sum(ks) != poly.degree:
         raise ConvergenceError(
-            f"found {sum(m for _, m in roots)} of {deg} roots: "
-            f"{[r for r, _ in roots]}")
-    return RootSet(None, family,
-                   tuple(r for r, _ in roots), tuple(m for _, m in roots))
+            f"found {sum(ks)} of {poly.degree} roots: {list(xs)}")
+    return RootSet(None, family, xs, ks)
 
 
 def _h(n: int, theta: float) -> float:
@@ -324,23 +343,14 @@ def bound_check(n: int) -> float:
 
 
 def monic_sup_norm(n: int) -> float:
-    """Sup of |P_n|/2^(n-2) on [-1, 1], certified at the extrema.
+    """Sup of |P_n|/2^(n-2) on [-1, 1], evaluated exactly at the extrema.
 
-    The sup of a polynomial on an interval sits at a critical point or
-    an endpoint; P_n vanishes at both endpoints for n >= 3, so the
-    extrema list plus a coarse float grid (exact-checked at its argmax)
-    covers it.
+    The sup of a polynomial on an interval sits at a critical point or an
+    endpoint, and extrema returns both endpoints and all n - 1 critical
+    points of P_n or raises, so no other candidate is needed.
     """
     if n < 3:
         raise InvalidConfigError("monic scaling defined for n >= 3")
     poly = build_definitional(n, P_FAMILY)
-    candidates = {x for _, x in extrema(n)}
-    grid = np.linspace(-1.0, 1.0, 2001)
-    coarse = [abs(evaluate(poly, float(g))) for g in grid]
-    candidates.add(float(grid[int(np.argmax(coarse))]))
-    best = Fraction(0)
-    for x in candidates:
-        val = abs(evaluate_exact_at_float(poly, x))
-        if val > best:
-            best = val
+    best = max(abs(evaluate_exact_at_float(poly, x)) for _, x in extrema(n))
     return float(best / 2 ** (n - 2))

@@ -48,29 +48,27 @@ def _pi_fields(value) -> dict:
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_triangle(args) -> int:
+def _triangle_text(args) -> str:
+    """The triangle document in args.format, cached when --cache-dir is set."""
     family = _family(args)
     if args.cache_dir:
         doc = TriangleCache(args.cache_dir).document(family, args.max_n)
     else:
         doc = build_document(family, args.max_n)
-    sys.stdout.write(serialize(doc, args.format))
+    return serialize(doc, args.format)
+
+
+def cmd_triangle(args) -> int:
+    sys.stdout.write(_triangle_text(args))
     return 0
 
 
 def cmd_export(args) -> int:
-    code = cmd_triangle(args) if args.out is None else _export_to_file(args)
-    return code
-
-
-def _export_to_file(args) -> int:
-    family = _family(args)
-    if args.cache_dir:
-        doc = TriangleCache(args.cache_dir).document(family, args.max_n)
-    else:
-        doc = build_document(family, args.max_n)
+    if args.out is None:
+        return cmd_triangle(args)
+    text = _triangle_text(args)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(serialize(doc, args.format))
+        fh.write(text)
     return 0
 
 

@@ -197,7 +197,9 @@ class TriangleCache:
                 doc = from_json(fh.read())
         except FileNotFoundError:
             return None
-        except (InvalidConfigError, json.JSONDecodeError, KeyError):
+        except (InvalidConfigError, ValueError, KeyError, TypeError,
+                AttributeError):
+            # Undecodable bytes, bad JSON or a payload of the wrong shape.
             return None
         if doc.generator != f"blockcheb {__version__}":
             return None

@@ -305,7 +305,7 @@ def check_zeros_numeric() -> CheckResult:
     wit = tuple(failures) or ({"n": str(worst[1]), "max-gap": repr(worst[0])},)
     return CheckResult("zeros-numeric-agreement", "3<=n<=20",
                        "pass" if ok else "fail", wit,
-                       "bisection + companion-matrix roots vs closed form")
+                       "Sturm isolation + exact bisection vs closed form")
 
 
 # ---------------------------------------------------------------- bounds

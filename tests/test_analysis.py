@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockcheb.analysis import (bound_check, closed_form_zeros, evaluate,
                                 evaluate_exact_at_float, extrema,
@@ -84,7 +86,7 @@ def test_closed_form_zeros_require_n3():
 
 
 def test_numeric_zeros_match_closed_form():
-    for n in (3, 4, 5, 10, 17, 20):
+    for n in (3, 4, 5, 10, 17, 20, 30, 45, 60):
         poly = build_definitional(n, P_FAMILY)
         numeric = numeric_zeros(poly, P_FAMILY)
         closed = closed_form_zeros(n)
@@ -112,6 +114,50 @@ def test_numeric_zeros_cubic_family_start():
     assert rs.multiplicities == (3,)
 
 
+def test_numeric_zeros_multiple_roots():
+    def zeros(m, p, n):
+        return numeric_zeros(build_definitional(n, Family(m, p)), Family(m, p))
+
+    rs = zeros(2, 1, 4)  # (x^2 - 1)^2
+    assert (rs.roots, rs.multiplicities) == ((-1.0, 1.0), (2, 2))
+    rs = zeros(0, 3, 5)  # 27x(3x^2 - 2)^2
+    assert rs.multiplicities == (2, 1, 2)
+    assert rs.roots[1] == 0.0 and rs.roots[0] == -rs.roots[2]
+    assert rs.roots[2] == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+    rs = zeros(6, 2, 11)  # triple roots at -1 and 1
+    assert rs.count == 11
+    assert (rs.roots[0], rs.roots[-1]) == (-1.0, 1.0)
+    assert (rs.multiplicities[0], rs.multiplicities[-1]) == (3, 3)
+
+
+def test_numeric_zeros_of_chebyshev_rows():
+    # U_35 vanishes at cos(k pi/36), T_35 at cos((2k-1) pi/70).
+    for family, angle in ((U_FAMILY, lambda k: k * math.pi / 36),
+                          (T_FAMILY, lambda k: (2 * k - 1) * math.pi / 70)):
+        rs = numeric_zeros(build_definitional(35, family), family)
+        assert rs.count == len(rs.roots) == 35
+        want = sorted(math.cos(angle(k)) for k in range(1, 36))
+        assert max(abs(a - b) for a, b in zip(rs.roots, want)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-40, 40),
+                          st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(1, 50))
+def test_numeric_zeros_of_dyadic_factors(factors, c):
+    # prod (2^e x - a)^k * (x^2 + c): the roots a/2^e are exact floats,
+    # and x^2 + c adds a pair of complex roots that must not show up.
+    poly = IntPolynomial((c, 0, 1))
+    want: dict[Fraction, int] = {}
+    for e, a, k in factors:
+        for _ in range(k):
+            poly = poly * IntPolynomial((-a, 2 ** e))
+        want[Fraction(a, 2 ** e)] = want.get(Fraction(a, 2 ** e), 0) + k
+    rs = numeric_zeros(poly)
+    assert rs.roots == tuple(float(r) for r in sorted(want))
+    assert rs.multiplicities == tuple(want[r] for r in sorted(want))
+
+
 def test_numeric_zeros_error_paths():
     with pytest.raises(InvalidConfigError):
         numeric_zeros(IntPolynomial())
@@ -119,6 +165,12 @@ def test_numeric_zeros_error_paths():
     # degree 2 cannot be assembled.
     with pytest.raises(ConvergenceError):
         numeric_zeros(IntPolynomial((1, 0, 1)), P_FAMILY)
+    # Roots 1 and 1 + 2^-60 share a float; a root near 2^1100 has none.
+    with pytest.raises(ConvergenceError, match="closer than one float"):
+        numeric_zeros(IntPolynomial((-2 ** 60, 2 ** 60))
+                      * IntPolynomial((-2 ** 60 - 1, 2 ** 60)))
+    with pytest.raises(ConvergenceError, match="beyond float range"):
+        numeric_zeros(IntPolynomial((-2 ** 1100, 1)))
 
 
 # ---------------------------------------------------------------- extrema

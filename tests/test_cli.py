@@ -153,12 +153,16 @@ def test_zeros_numeric_fallback_below_closed_form(capsys):
     assert payload["roots"] == [{"decimal": 0.0, "multiplicity": 2}]
 
 
-def test_zeros_numeric_method(capsys):
-    code, payload = _run_json(capsys, "zeros", "--n", "5", "--method",
+@pytest.mark.parametrize("n", [5, 35])
+def test_zeros_numeric_method(capsys, n):
+    code, payload = _run_json(capsys, "zeros", "--n", str(n), "--method",
                               "numeric")
     assert code == 0
     assert payload["method"] == "numeric"
-    assert len(payload["roots"]) == 5
+    assert len(payload["roots"]) == n
+    _, closed = _run_json(capsys, "zeros", "--n", str(n))
+    for got, want in zip(payload["roots"], closed["roots"]):
+        assert abs(got["decimal"] - want["decimal"]) <= 1e-10
 
 
 def test_extrema_values(capsys):

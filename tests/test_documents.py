@@ -136,11 +136,17 @@ def test_cache_append_only_growth(tmp_path):
     assert cache.load(P_FAMILY).rows == grown.rows
 
 
-def test_cache_discards_corrupt_file(tmp_path):
+@pytest.mark.parametrize("payload", [
+    b"{not json",
+    b"[]",
+    b'{"schemaVersion": 1, "rows": 5, "m": 2, "p": 2}',
+    b"\xff\xfe\x00",
+], ids=["bad-json", "list", "rows-not-a-list", "not-utf8"])
+def test_cache_discards_corrupt_file(tmp_path, payload):
     cache = TriangleCache(str(tmp_path))
     cache.document(P_FAMILY, 5)
     path = tmp_path / "triangle_m2_p2.json"
-    path.write_text("{not json", encoding="utf-8")
+    path.write_bytes(payload)
     assert cache.load(P_FAMILY) is None
     assert cache.document(P_FAMILY, 5).rows[0][0] == 2
 
