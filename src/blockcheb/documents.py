@@ -205,6 +205,10 @@ class TriangleCache:
             return None
         if (doc.m, doc.p) != (family.m, family.p):
             return None
+        # Rows must run m, m+1, ... with n + 1 coefficients in row n.
+        if any(rn != n or len(coeffs) != n + 1
+               for n, (rn, coeffs) in enumerate(doc.rows, family.m)):
+            return None
         return doc
 
     def document(self, family: Family, max_n: int) -> TriangleDocument:

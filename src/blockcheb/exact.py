@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 
 def binomial(n: int, k: int) -> int:
@@ -240,27 +239,3 @@ def _raw(cos: dict[int, Fraction], sin: dict[int, Fraction]) -> TrigPoly:
     t._cos = {j: c for j, c in cos.items() if c}
     t._sin = {j: c for j, c in sin.items() if c}
     return t
-
-
-@lru_cache(maxsize=None)
-def cos_power(k: int) -> TrigPoly:
-    """cos(theta)**k linearized into frequencies 0..k."""
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0:
-        return TrigPoly.constant(1)
-    return cos_power(k - 1) * TrigPoly.cosine(1)
-
-
-@lru_cache(maxsize=None)
-def sin_power(k: int) -> TrigPoly:
-    """sin(theta)**k linearized (cosines for even k, sines for odd k)."""
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0:
-        return TrigPoly.constant(1)
-    return sin_power(k - 1) * TrigPoly.sine(1)
-
-
-def trig_integrate_0_to_pi(t: TrigPoly) -> PiRational:
-    return t.integrate_0_to_pi()

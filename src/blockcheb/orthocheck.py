@@ -4,12 +4,13 @@ Every integral here is of the form
 
     I(n, m) = integral_{-1}^{1} P_n(x) P_m(x) (1 - x^2)^(q/2) dx
 
-with half-exponent q >= -1.  Substituting x = cos(theta) turns this into
-a trigonometric polynomial on [0, pi]: the weight supplies sin^q, dx
-supplies one more sine, and each row is expanded through cosine powers,
-never through its trigonometric closed form (so those identities stay
-independent test targets).  Exact integration then reads the answer off
-the frequency-0 cosine term and the odd sine terms, giving a PiRational.
+with half-exponent q >= -1.  The exact route stays in x: it multiplies
+the integer rows and pairs the even-index coefficients of P_n P_m with
+the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2) dx, which are
+rational multiples of pi for odd q and rationals for even q (Wallis).
+Odd powers of x integrate to 0 against the even weight.  The rows come
+from their integer coefficients, never from their trigonometric closed
+form, so those identities stay independent test targets.
 
 The numeric backend is a Gauss rule in x, exact for the polynomial
 integrands here (Golub & Welsch 1969).  Odd q splits the weight as
@@ -17,7 +18,7 @@ integrands here (Golub & Welsch 1969).  Odd q splits the weight as
 first kind on the polynomial part (Mason & Handscomb, *Chebyshev
 Polynomials*); even q runs Gauss-Legendre on the whole polynomial.
 Rows are evaluated pointwise in extended precision, independently of the
-TrigPoly route: coefficient sums reach 1e5 by degree 15, which leaves no
+moment route: coefficient sums reach 1e5 by degree 15, which leaves no
 float64 margin against the 1e-10 agreement contract.
 """
 
@@ -29,13 +30,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidConfigError
-from .exact import PiRational, TrigPoly, cos_power, sin_power
+from .exact import PiRational
 from .polyfamily import Family, IntPolynomial, build_definitional, check_row
 
 
-# The exact route builds sin^(q+1) by recursion through exact.sin_power;
-# q = 200 keeps far inside the default recursion limit (q = 500 hits it).
+# A bound on outside input: q sets the size of every moment and the Gauss
+# node count, and 200 lies far beyond the weights the paper discusses.
 MAX_HALF_EXPONENT = 200
+
+# A Gram range to row N holds about N^2/2 inner products of degree up to
+# 2N; 3..60 takes about a second exact-only.
+MAX_GRAM_ROW = 60
 
 
 @dataclass(frozen=True)
@@ -57,26 +62,6 @@ class Weight:
         return f"(1-x^2)^({self.half_exponent}/2)"
 
 
-def sin_exponent(weight: Weight) -> int:
-    """Total sine exponent after substituting x = cos(theta).
-
-    The weight (1 - x^2)^(q/2) becomes sin^q(theta) and dx = -sin(theta)
-    d(theta) contributes exactly one more, so the integrand carries
-    sin^(q+1).  Centralized because an off-by-one here silently corrupts
-    every orthogonality table.
-    """
-    return weight.half_exponent + 1
-
-
-def poly_to_trig(poly: IntPolynomial) -> TrigPoly:
-    """Exact expansion of poly(cos theta) as a TrigPoly."""
-    acc = TrigPoly.constant(0)
-    for k, c in enumerate(poly.coeffs):
-        if c:
-            acc = acc + cos_power(k).scale(c)
-    return acc
-
-
 def _rows(n: int, m: int, family: Family) -> tuple[IntPolynomial, IntPolynomial]:
     if n < family.m or m < family.m:
         raise InvalidConfigError(
@@ -84,10 +69,33 @@ def _rows(n: int, m: int, family: Family) -> tuple[IntPolynomial, IntPolynomial]
     return build_definitional(n, family), build_definitional(m, family)
 
 
+def beta_moments(weight: Weight, count: int) -> list[Fraction]:
+    """M_0, M_2, ..., M_(2 count - 2), where M_2j = integral of
+    x^(2j) (1 - x^2)^(q/2) over [-1, 1], in units of pi for odd q.
+
+    M_0 = q!!/(q+1)!! times pi for odd q and times 2 for even q (Wallis),
+    and M_(2j+2) = M_2j (2j+1)/(2j+q+3).
+    """
+    q = weight.half_exponent
+    moment = Fraction(1 if q % 2 else 2)
+    for k in range(q, 0, -2):
+        moment *= Fraction(k, k + 1)
+    moments = []
+    for j in range(count):
+        moments.append(moment)
+        moment *= Fraction(2 * j + 1, 2 * j + q + 3)
+    return moments
+
+
 def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
+    """Even-index coefficients of P_n P_m against the Beta moments."""
     pn, pm = _rows(n, m, family)
-    integrand = poly_to_trig(pn) * poly_to_trig(pm) * sin_power(sin_exponent(weight))
-    return integrand.integrate_0_to_pi()
+    even = (pn * pm).coeffs[::2]
+    total = sum((c * mj for c, mj in zip(even, beta_moments(weight, len(even)))),
+                Fraction(0))
+    if weight.half_exponent % 2:
+        return PiRational(total, Fraction(0))
+    return PiRational(Fraction(0), total)
 
 
 _LONG_PI = np.arccos(np.longdouble(-1.0))
@@ -214,6 +222,9 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
     if lo > hi or lo < family.m:
         raise InvalidConfigError(f"bad row range {lo}..{hi} for family {family}")
     check_row(hi, family)
+    if hi > MAX_GRAM_ROW:
+        raise InvalidConfigError(
+            f"gram row {hi} above the Gram limit {MAX_GRAM_ROW}")
     entries = {}
     for n in range(lo, hi + 1):
         for m in range(n, hi + 1):

@@ -22,7 +22,7 @@ import blockcheb
 from blockcheb import __version__
 from blockcheb.cli import main
 from blockcheb.documents import build_document, to_bfile
-from blockcheb.orthocheck import MAX_HALF_EXPONENT
+from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
 from blockcheb.polyfamily import MAX_ROW, P_FAMILY
 
 
@@ -235,6 +235,11 @@ def test_config_errors_exit_2(capsys):
                           "--no-numeric")
     assert (code, out) == (2, "")
     assert err == f"error: weight q=500 above the weight limit {MAX_HALF_EXPONENT}\n"
+    past_gram = MAX_GRAM_ROW + 1
+    code, out, err = _run(capsys, "gram", "--range", f"3..{past_gram}",
+                          "--no-numeric")
+    assert (code, out) == (2, "")
+    assert err == f"error: gram row {past_gram} above the Gram limit {MAX_GRAM_ROW}\n"
     for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0")):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -136,12 +136,23 @@ def test_cache_append_only_growth(tmp_path):
     assert cache.load(P_FAMILY).rows == grown.rows
 
 
+def _stored_rows(rows) -> bytes:
+    """A current-version (2, 2) cache file holding the given rows."""
+    return json.dumps({"schemaVersion": SCHEMA_VERSION, "m": 2, "p": 2,
+                       "rows": rows,
+                       "metadata": {"generator": f"blockcheb {__version__}"}}
+                      ).encode()
+
+
 @pytest.mark.parametrize("payload", [
     b"{not json",
     b"[]",
     b'{"schemaVersion": 1, "rows": 5, "m": 2, "p": 2}',
     b"\xff\xfe\x00",
-], ids=["bad-json", "list", "rows-not-a-list", "not-utf8"])
+    _stored_rows([{"n": 9, "coeffs": ["1"]}]),
+    _stored_rows([{"n": "x", "coeffs": ["1"]}]),
+], ids=["bad-json", "list", "rows-not-a-list", "not-utf8", "row-off-the-family",
+        "row-not-a-number"])
 def test_cache_discards_corrupt_file(tmp_path, payload):
     cache = TriangleCache(str(tmp_path))
     cache.document(P_FAMILY, 5)

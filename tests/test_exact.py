@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockcheb.exact import (PiRational, TrigPoly, binomial, cos_power,
-                             sin_power, trig_integrate_0_to_pi)
+from blockcheb.exact import PiRational, TrigPoly, binomial
 
 
 # ------------------------------------------------------------- binomial
@@ -98,51 +97,16 @@ def test_trigpoly_max_frequency():
 
 def test_sin_squared_identity():
     expected = TrigPoly(cos_terms={0: Fraction(1, 2), 2: Fraction(-1, 2)})
-    assert sin_power(2) == expected
-
-
-def test_cos_power_identities():
-    assert cos_power(2) == TrigPoly(cos_terms={0: Fraction(1, 2),
-                                               2: Fraction(1, 2)})
-    assert cos_power(3) == TrigPoly(cos_terms={1: Fraction(3, 4),
-                                               3: Fraction(1, 4)})
+    assert TrigPoly.sine(1) * TrigPoly.sine(1) == expected
 
 
 def test_sin2_times_sin2_of_double():
     # sin^2(t) sin^2(2t) = 1/4 - 1/8 cos 2t - 1/4 cos 4t + 1/8 cos 6t
-    product = sin_power(2) * (TrigPoly.sine(2) * TrigPoly.sine(2))
+    product = (TrigPoly.sine(1) * TrigPoly.sine(1)) * \
+        (TrigPoly.sine(2) * TrigPoly.sine(2))
     expected = TrigPoly(cos_terms={0: Fraction(1, 4), 2: Fraction(-1, 8),
                                    4: Fraction(-1, 4), 6: Fraction(1, 8)})
     assert product == expected
-
-
-def test_negative_power_rejected():
-    with pytest.raises(ValueError):
-        cos_power(-1)
-    with pytest.raises(ValueError):
-        sin_power(-2)
-
-
-def _eval_trig(t: TrigPoly, theta: float) -> float:
-    total = 0.0
-    for j, c in t.cos_terms.items():
-        total += float(c) * math.cos(j * theta)
-    for j, c in t.sin_terms.items():
-        total += float(c) * math.sin(j * theta)
-    return total
-
-
-def test_power_expansions_numerically():
-    rng = random.Random(20240817)
-    thetas = [rng.uniform(0.0, math.pi) for _ in range(20)]
-    for k in (0, 1, 2, 5, 11, 17, 24, 30):
-        for theta in thetas:
-            assert abs(_eval_trig(cos_power(k), theta)
-                       - math.cos(theta) ** k) <= 1e-12
-    for k in (1, 3, 8, 15):
-        for theta in thetas:
-            assert abs(_eval_trig(sin_power(k), theta)
-                       - math.sin(theta) ** k) <= 1e-12
 
 
 _fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -190,7 +154,6 @@ def test_integral_basics():
     assert TrigPoly.sine(3).integrate_0_to_pi() == \
         PiRational.of(0, Fraction(2, 3))
     assert TrigPoly.sine(1).integrate_0_to_pi() == PiRational.of(0, 2)
-    assert trig_integrate_0_to_pi(quarter) == quarter.integrate_0_to_pi()
 
 
 def test_integral_matches_gauss_legendre_rule():

@@ -9,6 +9,7 @@ for a handful of entries, including the deviating ones.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,14 +18,15 @@ from numpy.polynomial.legendre import leggauss
 
 from blockcheb import orthocheck
 from blockcheb.errors import InvalidConfigError
-from blockcheb.exact import PiRational, TrigPoly
+from blockcheb.exact import PiRational
 from blockcheb.orthocheck import (MAX_HALF_EXPONENT, GramEntry, Weight,
-                                  _gauss_legendre, gram_matrix,
+                                  _gauss_legendre, beta_moments, gram_matrix,
                                   inner_product_exact, inner_product_numeric,
-                                  poly_to_trig, sin_exponent,
                                   theorem_band_value)
-from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY,
+from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY, Family,
                                   build_definitional)
+
+FROZEN_GRAM = Path(__file__).parent / "data" / "gram_trigpoly.txt"
 
 
 # ----------------------------------------------------------------- weight
@@ -39,30 +41,39 @@ def test_weight_validation_and_str():
 
 
 def test_weight_limit_completes_on_both_routes():
-    # The exact route recurses once per sine power; the limit must stay
-    # inside the recursion limit even under the test runner's stack.
+    # The largest admitted weight still gives agreeing exact and numeric
+    # values.
     w = Weight(MAX_HALF_EXPONENT)
     exact = float(inner_product_exact(3, 3, P_FAMILY, w))
     assert exact > 0
     assert abs(exact - inner_product_numeric(3, 3, P_FAMILY, w)) <= 1e-10
 
 
-def test_sin_exponent_off_by_one_guard():
-    # dx = -sin(theta) d(theta) contributes one sine beyond the weight.
-    assert sin_exponent(Weight(-1)) == 0
-    assert sin_exponent(Weight(0)) == 1
-    assert sin_exponent(Weight(1)) == 2
-    assert sin_exponent(Weight(3)) == 4
-
-
-def test_poly_to_trig_expansions():
-    assert poly_to_trig(build_definitional(2, P_FAMILY)) == \
-        TrigPoly(cos_terms={0: Fraction(1, 2), 2: Fraction(1, 2)})
-    assert poly_to_trig(build_definitional(3, P_FAMILY)) == \
-        TrigPoly(cos_terms={1: Fraction(-1, 2), 3: Fraction(1, 2)})
+@pytest.mark.parametrize("q", [-1, 0, 1, 2, 3])
+def test_beta_moments_match_mpmath(q):
+    unit = mpmath.pi if q % 2 else 1
+    with mpmath.workdps(30):
+        for j, moment in enumerate(beta_moments(Weight(q), 9)):
+            quad = mpmath.quad(
+                lambda x, j=j: x ** (2 * j) * (1 - x ** 2) ** (mpmath.mpf(q) / 2),
+                [-1, 0, 1])
+            want = unit * mpmath.mpf(moment.numerator) / moment.denominator
+            assert abs(quad - want) <= 1e-15, j
 
 
 # ----------------------------------------------------------- exact values
+
+def test_matches_frozen_trig_route_values():
+    """Every entry the retired cos/sin-power route computed on its grid:
+    families (2,2), (0,2), (3,3), q in {-1, 0, 1, 2, 3, 5}, 3 <= n <= m <= 15."""
+    lines = FROZEN_GRAM.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 1638
+    for line in lines:
+        fm, fp, q, n, m, want = line.split(" ", 5)
+        got = inner_product_exact(int(n), int(m), Family(int(fm), int(fp)),
+                                  Weight(int(q)))
+        assert str(got) == want, line
+
 
 def test_chebyshev_weight_corners():
     w = Weight(-1)
