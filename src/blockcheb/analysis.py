@@ -8,9 +8,11 @@ which gives closed-form zeros {-1, 1} and cos(k pi / (n-1)), the bound
 P_n(x)^2 + x^2 <= 1 on [-1, 1], and a monic sup norm within a factor two
 of the Chebyshev minimum.  The bound is proved exactly, as an integer
 polynomial identity that follows from the Pell identity for Chebyshev
-T and U (see bound_check); the extrema and sup norm are checked
-numerically, and the zeros against real roots isolated exactly by Sturm
-sequences over the integers (see numeric_zeros).
+T and U (see bound_check).  Real roots have one route, isolated exactly
+by Sturm sequences over the integers (see numeric_zeros): the zeros are
+checked against them, and the extrema are the roots of P_n', certified
+complete by their count (see extrema), with the sup norm evaluated
+exactly at them.
 
 Floating Horner is useless at the tolerances involved (coefficient sums
 reach 1e7 by degree 25, so plain double evaluation carries ~1e-9 noise).
@@ -31,8 +33,8 @@ from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
 
 
 def evaluate(poly: IntPolynomial, x):
-    """Horner evaluation; exact for int/Fraction input, double for float."""
-    acc = 0 if not isinstance(x, float) else 0.0
+    """Horner evaluation for exact input (int or Fraction)."""
+    acc = 0
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
@@ -203,6 +205,12 @@ def _real_roots(p: IntPolynomial) -> dict[float, int]:
     return roots
 
 
+# Sturm isolation of a (2, 2) row takes about 7 s at degree 200 and grows
+# faster than the square of the degree; the row limit alone would admit
+# degree 1000.
+MAX_ROOT_DEGREE = 200
+
+
 def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
     """All real roots of poly with multiplicities, by exact Sturm isolation.
 
@@ -213,6 +221,9 @@ def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
     """
     if poly.is_zero():
         raise InvalidConfigError("zero polynomial has no root set")
+    if poly.degree > MAX_ROOT_DEGREE:
+        raise InvalidConfigError(f"degree {poly.degree} above the "
+                                 f"root-finding limit {MAX_ROOT_DEGREE}")
     roots = sorted(_real_roots(poly).items()) if poly.degree > 0 else []
     xs, ks = tuple(zip(*roots)) or ((), ())
     if family == P_FAMILY and sum(ks) != poly.degree:
@@ -221,97 +232,22 @@ def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
     return RootSet(None, family, xs, ks)
 
 
-def _h(n: int, theta: float) -> float:
-    """Pole-free form of the extremum equation (n-1)tan t + tan((n-1)t).
-
-    Multiplying through by cos t cos((n-1)t) gives a continuous function
-    with the same interior zeros plus the tan poles turned into sign
-    anchors.
-    """
-    return (n - 1) * math.sin(theta) * math.cos((n - 1) * theta) + \
-        math.cos(theta) * math.sin((n - 1) * theta)
-
-
-def _refine_derivative_root(dpoly: IntPolynomial, x: float) -> float:
-    """Tighten x to the nearest sign change of dpoly, exact arithmetic."""
-    eps = 1e-9 * max(1.0, abs(x))
-    for _ in range(14):
-        a, b = x - eps, x + eps
-        sa, sb = _exact_sign(dpoly, a), _exact_sign(dpoly, b)
-        if sa == 0:
-            return a
-        if sb == 0:
-            return b
-        if sa * sb < 0:
-            return _bisect_exact(dpoly, a, b)
-        eps *= 4.0
-    return x
-
-
 def extrema(n: int) -> list[tuple[float, float]]:
     """Extreme points of P_n on [-1, 1] as (theta, x = cos theta) pairs.
 
-    The endpoints theta = 0, pi are always extreme points.  Interior
-    extrema solve (n-1)tan(t) + tan((n-1)t) = 0; its continuous form _h
-    changes sign between consecutive poles (2j+1)pi/(2(n-1)) of the
-    second tangent, with pi/2 added as an extra anchor (for even n the
-    pole at pi/2 is itself the root t = pi/2, x = 0).  Each bracketed
-    root is bisected in theta, then the x value is polished against the
-    exact derivative sign.  Exactly n-1 interior extrema must emerge.
+    The endpoints theta = 0, pi are always extreme points; the interior
+    ones are the real roots of P_n', isolated exactly by numeric_zeros.
+    P_n' has degree n - 1, so exactly n - 1 distinct roots, all inside
+    (-1, 1), certify that every critical point was found; any other root
+    set raises ConvergenceError.  The points run by theta = acos(x).
     """
     if n < 3:
         raise InvalidConfigError("extrema characterized for n >= 3")
-    dpoly = build_definitional(n, P_FAMILY).derivative()
-
-    anchors = [(2 * j + 1) * math.pi / (2 * (n - 1)) for j in range(n - 1)]
-    if n % 2:
-        # For odd n the pi/2 sign anchor splits the middle pole gap,
-        # which carries two roots; for even n pi/2 is already a pole.
-        anchors = sorted(anchors + [math.pi / 2])
-    # An anchor where _h itself vanishes (pi/2 for even n, where the pole
-    # coincides with the extremum x = 0) is a root in its own right; the
-    # sign scan then needs probes just inside its two neighbor segments.
-    tiny = 1e-9 * n
-    gap = math.pi / (n - 1)
-    probes: list[tuple[float, float | None]] = []
-    for a in anchors:
-        ha = _h(n, a)
-        if abs(ha) < tiny:
-            probes.append((a - gap / 8, None))
-            probes.append((a, 0.0))
-            probes.append((a + gap / 8, None))
-        else:
-            probes.append((a, ha))
-    probes = sorted((t, _h(n, t) if v is None else v) for t, v in probes)
-
-    interior: list[tuple[float, float]] = []
-    for i, (theta, value) in enumerate(probes):
-        if value == 0.0:
-            interior.append((math.pi / 2, 0.0))
-            continue
-        if i == 0:
-            continue
-        prev_theta, prev_value = probes[i - 1]
-        if prev_value == 0.0 or prev_value * value > 0:
-            continue
-        lo, hi = prev_theta, theta
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if _h(n, mid) * prev_value > 0:
-                lo = mid
-            else:
-                hi = mid
-        root_theta = 0.5 * (lo + hi)
-        x = _refine_derivative_root(dpoly, math.cos(root_theta))
-        interior.append((math.acos(max(-1.0, min(1.0, x))), x))
-
-    interior.sort()
-    if len(interior) != n - 1:
-        raise ConvergenceError(
-            f"expected {n - 1} interior extrema, found {len(interior)}: "
-            f"{[t for t, _ in interior]}")
+    rs = numeric_zeros(build_definitional(n, P_FAMILY).derivative())
+    if len(rs.roots) != n - 1 or not all(-1.0 < x < 1.0 for x in rs.roots):
+        raise ConvergenceError(f"expected {n - 1} distinct critical points "
+                               f"in (-1, 1), found {list(rs.roots)}")
+    interior = [(math.acos(x), x) for x in reversed(rs.roots)]
     return [(0.0, 1.0)] + interior + [(math.pi, -1.0)]
 
 

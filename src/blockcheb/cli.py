@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .analysis import closed_form_zeros, evaluate, extrema, numeric_zeros
+from .analysis import (closed_form_zeros, evaluate, evaluate_exact_at_float,
+                       extrema, numeric_zeros)
 from .blockcount import sweep_oracle_vs_closed
 from .documents import TriangleCache, build_document, serialize
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
@@ -143,7 +144,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_extrema(args) -> int:
     poly = build_definitional(args.n, P_FAMILY)
-    points = [{"theta": theta, "x": x, "value": evaluate(poly, float(x))}
+    points = [{"theta": theta, "x": x,
+               "value": float(evaluate_exact_at_float(poly, x))}
               for theta, x in extrema(args.n)]
     _emit({
         "schemaVersion": SCHEMA_VERSION,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,9 +122,13 @@ def quadrature_nodes(n: int, m: int, weight: Weight) -> int:
 trapezoid_nodes = quadrature_nodes
 
 
+# One gram document needs at most (2*MAX_GRAM_ROW + MAX_HALF_EXPONENT)//2
+# + 2 = 162 distinct node counts, so 256 entries hold all of them.
+@lru_cache(maxsize=256)
 def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights in extended precision,
-    by Newton's method on the Legendre three-term recurrence."""
+    by Newton's method on the Legendre three-term recurrence.  The arrays
+    are cached, hence read-only."""
     k = np.arange(count, 0, -1, dtype=np.longdouble)
     x = np.cos(_LONG_PI * (k - 0.25) / (count + 0.5))
     for _ in range(100):
@@ -135,7 +140,10 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - step
         if np.max(np.abs(step)) <= 4 * np.finfo(x.dtype).eps:
             break
-    return x, 2 / ((1 - x * x) * slope * slope)
+    w = 2 / ((1 - x * x) * slope * slope)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .analysis import (bound_check, closed_form_zeros, evaluate,
+from .analysis import (bound_check, closed_form_zeros,
                        evaluate_exact_at_float, extrema, monic_sup_norm,
                        numeric_zeros, trig_form_residual)
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
@@ -537,7 +537,7 @@ def check_extremum_erratum() -> CheckResult:
     vanishes_exactly = at_third == 0 and not any(odd)
 
     claimed = math.atan(math.sqrt(2.0))
-    at_claimed = evaluate(dp, claimed)
+    at_claimed = float(evaluate_exact_at_float(dp, claimed))
     conflation = abs(math.cos(claimed) - 1 / math.sqrt(3.0)) < 1e-15
 
     interior = [x for theta, x in extrema(3) if 0.0 < theta < math.pi]

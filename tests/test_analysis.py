@@ -1,12 +1,15 @@
 """Evaluation, zeros, extrema and bounds of the (2, 2) rows."""
 
+import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcheb import analysis
 from blockcheb.analysis import (bound_check, closed_form_zeros, evaluate,
                                 evaluate_exact_at_float, extrema,
                                 monic_sup_norm, numeric_zeros,
@@ -14,6 +17,8 @@ from blockcheb.analysis import (bound_check, closed_form_zeros, evaluate,
 from blockcheb.errors import ConvergenceError, InvalidConfigError
 from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
                                   U_FAMILY, build_definitional)
+
+FROZEN_EXTREMA = Path(__file__).parent / "data" / "extrema_theta.txt"
 
 
 # ------------------------------------------------------------- evaluation
@@ -198,14 +203,44 @@ def test_extrema_even_row_passes_through_origin():
     assert middle == (math.pi / 2, 0.0)
 
 
-def test_extrema_satisfy_tangent_equation():
-    for n in (3, 4, 5, 8, 11):
-        for theta, _ in extrema(n):
-            if theta in (0.0, math.pi):
-                continue
+@pytest.fixture(scope="module")
+def extrema_to_60():
+    return {n: extrema(n) for n in range(3, 61)}
+
+
+def test_extrema_match_frozen_theta_route(extrema_to_60):
+    # The (theta, x) pairs the tangent-equation bracketing route gave
+    # before the Sturm route replaced it.
+    lines = FROZEN_EXTREMA.read_text(encoding="utf-8").splitlines()[1:]
+    got = [f"{n} {t!r} {x!r}" for n, points in extrema_to_60.items()
+           for t, x in points]
+    assert got == lines
+
+
+def test_extrema_satisfy_tangent_equation(extrema_to_60):
+    # The paper's (n-1) tan t + tan((n-1) t) = 0, times cos t cos((n-1) t)
+    # to clear the poles: a route independent of the roots of P_n'.
+    for n, points in extrema_to_60.items():
+        for theta, _ in points[1:-1]:
             residual = (n - 1) * math.sin(theta) * math.cos((n - 1) * theta) \
                 + math.cos(theta) * math.sin((n - 1) * theta)
-            assert abs(residual) <= 1e-8
+            assert abs(residual) <= (n - 1) * 1e-12, (n, theta)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda xs: xs[1:],
+    lambda xs: (1.5,) + xs[1:],
+], ids=["root-dropped", "root-outside"])
+def test_extrema_certificate_rejects_wrong_root_sets(monkeypatch, corrupt):
+    sturm = analysis.numeric_zeros
+
+    def corrupted(poly, family=None):
+        rs = sturm(poly, family)
+        return dataclasses.replace(rs, roots=corrupt(rs.roots))
+
+    monkeypatch.setattr(analysis, "numeric_zeros", corrupted)
+    with pytest.raises(ConvergenceError):
+        extrema(7)
 
 
 def test_extrema_require_n3():

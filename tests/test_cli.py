@@ -20,10 +20,11 @@ import pytest
 
 import blockcheb
 from blockcheb import __version__
+from blockcheb.analysis import MAX_ROOT_DEGREE, evaluate_exact_at_float
 from blockcheb.cli import main
 from blockcheb.documents import build_document, to_bfile
 from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
-from blockcheb.polyfamily import MAX_ROW, P_FAMILY
+from blockcheb.polyfamily import MAX_ROW, P_FAMILY, build_definitional
 
 
 def _run(capsys, *argv):
@@ -175,6 +176,15 @@ def test_extrema_values(capsys):
                                                abs=1e-12)
     assert points[2]["value"] == pytest.approx(4 / (3 * 3 ** 0.5),
                                                abs=1e-12)
+    # Double Horner at degree 60 is off by about 3e5; the values must be
+    # the exact evaluations at each x, which lie in [-1, 1].
+    code, payload = _run_json(capsys, "extrema", "--n", "60")
+    assert code == 0
+    poly = build_definitional(60, P_FAMILY)
+    for point in payload["points"]:
+        assert abs(point["value"]) <= 1
+        assert point["value"] == float(evaluate_exact_at_float(poly,
+                                                               point["x"]))
 
 
 def test_gram_band_summary(capsys):
@@ -244,6 +254,13 @@ def test_config_errors_exit_2(capsys):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1
+    # P_201 and P_202' have degree 201: one past the root-finding limit.
+    for argv in (("zeros", "--method", "numeric", "--n", "201"),
+                 ("extrema", "--n", "202")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: degree {MAX_ROOT_DEGREE + 1} above the "
+                       f"root-finding limit {MAX_ROOT_DEGREE}\n")
     past_limit = str(MAX_ROW + 1)
     for argv in (("triangle", "--max-n", past_limit),
                  ("export", "--max-n", past_limit),

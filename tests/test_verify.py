@@ -8,6 +8,7 @@ the mathematics or the checks changed, and both deserve a loud test.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from blockcheb.errors import InvalidConfigError
 from blockcheb.polyfamily import IntPolynomial, T_FAMILY
 from blockcheb.verify import (ERRATUM_CHECK_IDS, SUITES, VerifyReport,
                               run_suite)
+
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "golden" / "verify.json"
 
 EXPECTED_STATUS = {
     "oracle-closed-vs-enumeration": "pass",
@@ -95,6 +98,17 @@ def test_report_json_shape(full_report):
     for check in payload["checks"]:
         assert set(check) == {"checkId", "range", "status", "witnesses",
                               "note"}
+
+
+def test_report_matches_golden(full_report):
+    """The full report is byte-identical to tests/data/golden/verify.json.
+
+    A change that alters these bytes on purpose regenerates the file with
+    `PYTHONPATH=src python -m blockcheb.cli verify >
+    tests/data/golden/verify.json` and explains the difference in
+    CHANGES.md.
+    """
+    assert full_report.to_json() == GOLDEN_VERIFY.read_text(encoding="utf-8")
 
 
 def test_report_has_no_timestamps(full_report):
