@@ -8,9 +8,12 @@ with half-exponent q >= -1.  The exact route stays in x: it multiplies
 the integer rows and pairs the even-index coefficients of P_n P_m with
 the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2) dx, which are
 rational multiples of pi for odd q and rationals for even q (Wallis).
-Odd powers of x integrate to 0 against the even weight.  The rows come
-from their integer coefficients, never from their trigonometric closed
-form, so those identities stay independent test targets.
+The moments are cached per weight as integer numerators N_j over one
+common denominator D, so each entry is one integer dot product and one
+Fraction.  Odd powers of x integrate to 0 against the even weight.  The
+rows come from their integer coefficients, never from their
+trigonometric closed form, so those identities stay independent test
+targets.
 
 The numeric backend is a Gauss rule in x, exact for the polynomial
 integrands here (Golub & Welsch 1969).  Odd q splits the weight as
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .polyfamily import Family, IntPolynomial, build_definitional, check_row
 MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
-# 2N; 3..60 takes about a second exact-only.
+# 2N; 3..60 takes about 0.25 s exact-only.
 MAX_GRAM_ROW = 60
 
 
@@ -88,12 +92,46 @@ def beta_moments(weight: Weight, count: int) -> list[Fraction]:
     return moments
 
 
+def _integer_moments(q: int, count: int) -> tuple[tuple[int, ...], int]:
+    """beta_moments(Weight(q), count) as numerators over one denominator.
+
+    With M_0 = t/b (Wallis), A_j = prod_{i<j} (2i+1) and
+    S_j = prod_{j<=i<count-1} (2i+q+3), M_2j = t A_j S_j / (b S_0):
+    N_j = t A_j S_j and D = b S_0 come from running products, with no
+    gcd per term.
+    """
+    top, bottom = (1 if q % 2 else 2), 1
+    for k in range(q, 0, -2):
+        top, bottom = top * k, bottom * (k + 1)
+    suffix = [1] * count
+    for j in range(count - 2, -1, -1):
+        suffix[j] = suffix[j + 1] * (2 * j + q + 3)
+    numerators = []
+    for j in range(count):
+        numerators.append(top * suffix[j])
+        top *= 2 * j + 1
+    return tuple(numerators), bottom * suffix[0]
+
+
+# One slot per weight holds its longest table so far, since a longer table
+# serves every shorter entry exactly: q in -1..MAX_HALF_EXPONENT needs at
+# most MAX_HALF_EXPONENT + 2 = 202 slots.  Two threads growing one slot
+# at once may leave the shorter table there, which is still exact.
+@lru_cache(maxsize=MAX_HALF_EXPONENT + 2)
+def _moment_slot(q: int) -> list[tuple[tuple[int, ...], int]]:
+    return [((), 1)]
+
+
 def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
     """Even-index coefficients of P_n P_m against the Beta moments."""
     pn, pm = _rows(n, m, family)
     even = (pn * pm).coeffs[::2]
-    total = sum((c * mj for c, mj in zip(even, beta_moments(weight, len(even)))),
-                Fraction(0))
+    slot = _moment_slot(weight.half_exponent)
+    numerators, denominator = slot[0]
+    if len(numerators) < len(even):
+        slot[0] = numerators, denominator = \
+            _integer_moments(weight.half_exponent, len(even))
+    total = Fraction(sum(map(mul, even, numerators)), denominator)
     if weight.half_exponent % 2:
         return PiRational(total, Fraction(0))
     return PiRational(Fraction(0), total)

@@ -7,7 +7,9 @@ heavier weights.  mpmath quadrature provides an independent third route
 for a handful of entries, including the deviating ones.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from blockcheb import orthocheck
+from blockcheb import cli, orthocheck
 from blockcheb.errors import InvalidConfigError
 from blockcheb.exact import PiRational
 from blockcheb.orthocheck import (MAX_HALF_EXPONENT, GramEntry, Weight,
@@ -27,6 +29,7 @@ from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY, Family,
                                   build_definitional)
 
 FROZEN_GRAM = Path(__file__).parent / "data" / "gram_trigpoly.txt"
+GRAM_DIGESTS = Path(__file__).parent / "data" / "golden" / "gram_sha256.txt"
 
 
 # ----------------------------------------------------------------- weight
@@ -73,6 +76,54 @@ def test_matches_frozen_trig_route_values():
         got = inner_product_exact(int(n), int(m), Family(int(fm), int(fp)),
                                   Weight(int(q)))
         assert str(got) == want, line
+
+
+def _per_term_fraction_sum(n, m, family, weight):
+    """The per-term Fraction sum the integer route replaced."""
+    pn = build_definitional(n, family)
+    pm = build_definitional(m, family)
+    even = (pn * pm).coeffs[::2]
+    return sum((c * mj for c, mj in zip(even, beta_moments(weight, len(even)))),
+               Fraction(0))
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 2, 3, 5, 200])
+def test_integer_route_matches_per_term_fraction_sum(q):
+    w = Weight(q)
+    rng = random.Random(8675309 + q)
+    cells = [(60, 60)] + [(rng.randint(3, 60), rng.randint(3, 60))
+                          for _ in range(10)]
+    for family in (P_FAMILY, Family(0, 2), Family(3, 3), Family(1, 4)):
+        for n, m in cells:
+            want = _per_term_fraction_sum(n, m, family, w)
+            want = PiRational(want, Fraction(0)) if q % 2 \
+                else PiRational(Fraction(0), want)
+            assert inner_product_exact(n, m, family, w) == want, (family, n, m)
+
+
+def test_moment_cache_holds_one_table_per_weight():
+    cache = orthocheck._moment_slot
+    assert cache.cache_info().maxsize == MAX_HALF_EXPONENT + 2
+    cache.cache_clear()
+    weights = (-1, 0, 1, 2, 3, 5, 17, 200)
+    for q in weights:
+        for n, m in ((3, 3), (40, 40), (10, 12)):
+            inner_product_exact(n, m, P_FAMILY, Weight(q))
+    assert cache.cache_info().currsize == len(weights)
+    assert cache.cache_info().currsize <= MAX_HALF_EXPONENT + 2
+
+
+def test_gram_documents_match_golden_digests(capsys):
+    """The exact-only gram documents, byte for byte, as the per-term
+    Fraction route wrote them."""
+    lines = GRAM_DIGESTS.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 6
+    for line in lines:
+        q, span, want = line.split()
+        assert cli.main(["gram", "--weight", q, "--range", span,
+                         "--no-numeric"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, line
 
 
 def test_chebyshev_weight_corners():
