@@ -20,8 +20,7 @@ printed form and the corrected form, because the printed one is wrong
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -54,8 +53,6 @@ def _kernel(n: int, p: int, m: int) -> list[int]:
         counts += np.bincount(np.bitwise_count(masks[hit]),
                               minlength=nground + 1)
     return counts.tolist()
-
-IDENTITY_IDS = ("E1", "E2", "E3-printed", "E3-corrected", "E4")
 
 
 def _validate(n: int, m: int, p: int) -> None:
@@ -102,111 +99,103 @@ def _counts_cached(n: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(_kernel(n, p, m))
 
 
+def _configurations(max_ground: int, p_max: int):
+    """Every (n, k, m, p) with n*p + m <= max_ground and 1 <= p <= p_max.
+
+    k covers every achievable subset size n + k in 0..n*p+m plus a margin
+    of one size on both ends, where every count is 0.
+    """
+    for p in range(1, p_max + 1):
+        for n in range(max_ground // p + 1):
+            for m in range(max_ground - n * p + 1):
+                for size in range(-1, n * p + m + 2):
+                    yield n, size - n, m, p
+
+
 def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     """Compare f_closed with f_oracle for every configuration in range.
 
-    Covers all (n, k, m, p) with n*p + m <= max_ground and p <= p_max,
-    with k running over every achievable subset size plus a margin on
-    both ends.  Returns (number of comparisons, list of failures).
+    Covers every configuration of _configurations.  Returns (number of
+    comparisons, list of failures).  The sweep always reaches the ground
+    set n = 0, m = max_ground, so a max_ground past the enumeration bound
+    is rejected before anything is enumerated.
 
     Each count is visited once, so the closed form is called uncached:
-    a sweep would fill _f_closed_raw with entries nothing reads.  The
-    loops only reach valid configurations once the bounds are checked.
+    a sweep would fill _f_closed_raw with entries nothing reads.
     """
     if max_ground < 0 or p_max < 1:
         raise InvalidConfigError(
             f"oracle sweep needs max_ground >= 0 and p_max >= 1, "
             f"got max_ground={max_ground}, p_max={p_max}")
+    if max_ground > ENUMERATION_BOUND:
+        raise GroundSetTooLargeError(
+            f"oracle sweep max_ground {max_ground} exceeds enumeration "
+            f"bound {ENUMERATION_BOUND}")
     closed_sum = _f_closed_raw.__wrapped__
     checked = 0
     failures = []
-    for p in range(1, p_max + 1):
-        for n in range(max_ground // p + 1):
-            for m in range(max_ground - n * p + 1):
-                nground = n * p + m
-                for size in range(-1, nground + 2):
-                    k = size - n
-                    closed = closed_sum(n, k, m, p)
-                    oracle = f_oracle(n, k, m, p)
-                    checked += 1
-                    if closed != oracle:
-                        failures.append({"n": n, "k": k, "m": m, "p": p,
-                                         "closed": closed, "oracle": oracle})
+    for n, k, m, p in _configurations(max_ground, p_max):
+        closed = closed_sum(n, k, m, p)
+        oracle = f_oracle(n, k, m, p)
+        checked += 1
+        if closed != oracle:
+            failures.append({"n": n, "k": k, "m": m, "p": p,
+                             "closed": closed, "oracle": oracle})
     return checked, failures
 
 
-@dataclass
-class IdentityReport:
-    """Outcome of sweeping one identity over a configuration range."""
+def _e3(n, k, m, p, t, drop):
+    """Identity (3): condition on the first block, which must be hit.
 
-    identity_id: str
-    ranges: dict
-    checked: int = 0
-    failures: list = field(default_factory=list)
+    The printed form lets the remaining blocks drop to size p - 1
+    (drop = 1); conditioning on one block keeps them at size p (drop = 0).
+    """
+    return sum(binomial(p, i) * f_closed(n - 1, k - i + 1, m, p - drop)
+               for i in range(1, p + 1))
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+
+# Each identity: the least n and p where it applies, and its right-hand
+# side at (n, k, m, p), and t for E2.  The left side is f(n, k, m, p).
+_IDENTITIES = {
+    "E1": (0, 1, lambda n, k, m, p, t: sum(
+        binomial(m, i) * f_closed(n, k - i, 0, p) for i in range(m + 1))),
+    "E2": (0, 1, lambda n, k, m, p, t: sum(
+        (-1) ** i * binomial(t, i) * f_closed(n, k + t, m + t - i, p)
+        for i in range(t + 1))),
+    "E3-printed": (1, 2, partial(_e3, drop=1)),
+    "E3-corrected": (1, 2, partial(_e3, drop=0)),
+    "E4": (0, 2, lambda n, k, m, p, t: sum(
+        binomial(n, i) * binomial(i, j) * f_closed(n - j, k - i + j, m, p - 1)
+        for i in range(n + 1) for j in range(i + 1))),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def check_identity(identity_id: str, max_ground: int = 12, p_max: int = 4,
-                   t_max: int = 3) -> IdentityReport:
+                   t_max: int = 3):
     """Sweep one of the five published f-identities over a full range.
 
-    Every (n, k, m, p) with n*p + m <= max_ground and p <= p_max is
-    visited (k covers all achievable sizes plus a margin); E2 is swept
-    for t = 0..t_max.  Both sides are evaluated with f_closed, whose
-    agreement with the enumeration oracle is checked separately.
+    Every configuration of _configurations where the identity applies is
+    visited; E2 is swept for t = 0..t_max.  Both sides are evaluated with
+    f_closed, whose agreement with the enumeration oracle is checked
+    separately.  Returns (number of instances checked, list of
+    failures), the shape of sweep_oracle_vs_closed.
     """
-    if identity_id not in IDENTITY_IDS:
+    if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity_id!r}")
-    report = IdentityReport(identity_id,
-                            {"max_ground": max_ground, "p_max": p_max,
-                             **({"t_max": t_max} if identity_id == "E2" else {})})
-    for p in range(1, p_max + 1):
-        for n in range(max_ground // p + 1):
-            for m in range(max_ground - n * p + 1):
-                for size in range(-1, n * p + m + 2):
-                    k = size - n
-                    _check_one(report, identity_id, n, k, m, p, t_max)
-    return report
-
-
-def _check_one(report: IdentityReport, identity_id: str, n: int, k: int,
-               m: int, p: int, t_max: int) -> None:
-    lhs = f_closed(n, k, m, p)
-    if identity_id == "E1":
-        rhs = sum(binomial(m, i) * f_closed(n, k - i, 0, p) for i in range(m + 1))
-        _record(report, n, k, m, p, lhs, rhs)
-    elif identity_id == "E2":
-        for t in range(t_max + 1):
-            rhs = sum((-1) ** i * binomial(t, i) * f_closed(n, k + t, m + t - i, p)
-                      for i in range(t + 1))
-            _record(report, n, k, m, p, lhs, rhs, t=t)
-    elif identity_id == "E3-printed":
-        # As published: the right side drops to block size p-1.
-        if n < 1 or p < 2:
-            return
-        rhs = sum(binomial(p, i) * f_closed(n - 1, k - i + 1, m, p - 1)
-                  for i in range(1, p + 1))
-        _record(report, n, k, m, p, lhs, rhs)
-    elif identity_id == "E3-corrected":
-        # Conditioning on the first block keeps block size p.
-        if n < 1 or p < 2:
-            return
-        rhs = sum(binomial(p, i) * f_closed(n - 1, k - i + 1, m, p)
-                  for i in range(1, p + 1))
-        _record(report, n, k, m, p, lhs, rhs)
-    elif identity_id == "E4":
-        if p < 2:
-            return
-        rhs = sum(binomial(n, i) * binomial(i, j) * f_closed(n - j, k - i + j, m, p - 1)
-                  for i in range(n + 1) for j in range(i + 1))
-        _record(report, n, k, m, p, lhs, rhs)
-
-
-def _record(report: IdentityReport, n, k, m, p, lhs, rhs, **extra) -> None:
-    report.checked += 1
-    if lhs != rhs:
-        report.failures.append({"n": n, "k": k, "m": m, "p": p, **extra,
-                                "lhs": lhs, "rhs": rhs})
+    n_min, p_min, rhs = _IDENTITIES[identity_id]
+    ts = range(t_max + 1) if identity_id == "E2" else (None,)
+    checked = 0
+    failures = []
+    for n, k, m, p in _configurations(max_ground, p_max):
+        if n < n_min or p < p_min:
+            continue
+        lhs = f_closed(n, k, m, p)
+        for t in ts:
+            right = rhs(n, k, m, p, t)
+            checked += 1
+            if lhs != right:
+                failures.append({"n": n, "k": k, "m": m, "p": p,
+                                 **({} if t is None else {"t": t}),
+                                 "lhs": lhs, "rhs": right})
+    return checked, failures

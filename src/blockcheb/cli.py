@@ -199,11 +199,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        checked, failures = sweep_oracle_vs_closed(args.max_ground, args.p_max)
-    except GroundSetTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    checked, failures = sweep_oracle_vs_closed(args.max_ground, args.p_max)
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "oracle",
@@ -305,11 +301,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidConfigError, ConvergenceError) as exc:
+    except BrokenPipeError:  # an OSError, but a closed reader is no error
+        return 0
+    except (InvalidConfigError, ConvergenceError, GroundSetTooLargeError,
+            OSError) as exc:
+        # OSError: a --cache-dir or --out path that cannot be used.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        return 0
 
 
 if __name__ == "__main__":

@@ -38,25 +38,6 @@ class PiRational:
     def of(pi_part=0, rational_part=0) -> "PiRational":
         return PiRational(Fraction(pi_part), Fraction(rational_part))
 
-    @staticmethod
-    def zero() -> "PiRational":
-        return PiRational(Fraction(0), Fraction(0))
-
-    def __add__(self, other: "PiRational") -> "PiRational":
-        return PiRational(self.pi_part + other.pi_part,
-                          self.rational_part + other.rational_part)
-
-    def __sub__(self, other: "PiRational") -> "PiRational":
-        return PiRational(self.pi_part - other.pi_part,
-                          self.rational_part - other.rational_part)
-
-    def __neg__(self) -> "PiRational":
-        return PiRational(-self.pi_part, -self.rational_part)
-
-    def scale(self, r) -> "PiRational":
-        r = Fraction(r)
-        return PiRational(self.pi_part * r, self.rational_part * r)
-
     def is_zero(self) -> bool:
         return self.pi_part == 0 and self.rational_part == 0
 

@@ -161,8 +161,7 @@ class IntPolynomial:
 
 def coefficient(n: int, k: int, family: Family) -> int:
     """Definitional coefficient of x^k in the degree-n row of the family."""
-    if n < family.m:
-        raise InvalidConfigError(f"row {n} below triangle start {family.m}")
+    _check_start(n, family)
     return _coeff_any(n, k, family)
 
 
@@ -239,10 +238,19 @@ class Triangle:
         return tuple(coeffs)
 
 
-def check_row(n: int, family: Family) -> None:
-    """Reject a row index outside the family's triangle or above MAX_ROW."""
+def _check_start(n: int, family: Family) -> None:
     if n < family.m:
         raise InvalidConfigError(f"row {n} below triangle start {family.m}")
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("printed", "corrected"):
+        raise ValueError(f"unknown variant {variant!r}")
+
+
+def check_row(n: int, family: Family) -> None:
+    """Reject a row index outside the family's triangle or above MAX_ROW."""
+    _check_start(n, family)
     if n > MAX_ROW:
         raise InvalidConfigError(f"row {n} above the row limit {MAX_ROW}")
 
@@ -309,10 +317,8 @@ def build_by_reduction(n: int, family: Family,
     _reduction_deficit) and equals the definitional row everywhere.
     For p <= 2 the two variants coincide.
     """
-    if n < family.m:
-        raise InvalidConfigError(f"row {n} below triangle start {family.m}")
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_start(n, family)
+    _check_variant(variant)
     base = Family(0, family.p)
     result = IntPolynomial()
     for i in range(family.m + 1):
@@ -347,10 +353,8 @@ def build_by_three_term(n: int, family: Family,
     """
     if family.p != 2:
         raise InvalidConfigError("three-term recurrence applies to p = 2 only")
-    if n < family.m:
-        raise InvalidConfigError(f"row {n} below triangle start {family.m}")
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_start(n, family)
+    _check_variant(variant)
     m = family.m
     prev2 = IntPolynomial.monomial(m)                     # row m
     if n == m:
@@ -415,10 +419,8 @@ def build_via_t_recurrence(n: int, family: Family, t: int,
     """
     if t < 0:
         raise InvalidConfigError("t must be nonnegative")
-    if n < family.m:
-        raise InvalidConfigError(f"row {n} below triangle start {family.m}")
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_start(n, family)
+    _check_variant(variant)
     result = IntPolynomial()
     for i in range(t + 1):
         other = Family(family.m + t - i, family.p)
@@ -441,8 +443,7 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
     """
     if t < 0:
         raise InvalidConfigError("t must be nonnegative")
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     total = 0
     for i in range(t + 1):
         other = Family(family.m + t - i, family.p)
@@ -466,8 +467,7 @@ def coeff_recurrence_e3(n: int, k: int, family: Family, variant: str) -> int:
     nonzero once p >= 3 (the same window defect the other printed
     translations suffer; here it is part of the formula either way).
     """
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     sign = -1 if variant == "printed" else 1
     total = 0
     for i in range(1, family.p + 1):
@@ -516,8 +516,7 @@ def coeff_triple_sum(n: int, k: int, family: Family,
     the dropped-mass defect one level down once p - 1 >= 3.  Agreement
     of either variant with coefficient() is a test outcome.
     """
-    if variant not in ("printed", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _check_variant(variant)
     base = Family(0, family.p - 1)
     m = family.m
     total = 0

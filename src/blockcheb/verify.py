@@ -18,6 +18,11 @@ exits nonzero: the printed source contains defects past the documented
 errata, and this suite does not paper over them.  The repaired
 variants carry their own checks, which do pass.
 
+Every sweep has one of two verdict shapes: _verdict passes when a list
+of failures is empty (_compare builds that list from two routes to the
+same value), and _worst passes when the largest deviation stays within
+a tolerance.  Only the erratum checks have bodies of their own.
+
 Reports carry no timestamps; two runs of the same build are
 byte-identical.
 """
@@ -28,6 +33,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from . import __version__
 from .analysis import (bound_check, closed_form_zeros,
@@ -35,11 +42,12 @@ from .analysis import (bound_check, closed_form_zeros,
                        numeric_zeros, trig_form_residual)
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
 from .errors import InvalidConfigError
-from .exact import binomial
+from .exact import PiRational, binomial
 from .orthocheck import (Weight, inner_product_exact, inner_product_numeric,
                          theorem_band_value)
-from .polyfamily import (Family, P_FAMILY, U_FAMILY, build_by_reduction,
-                         build_by_three_term, build_definitional,
+from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
+                         build_by_reduction, build_by_three_term,
+                         build_definitional,
                          build_via_t_recurrence, chebyshev_u_coefficient,
                          coeff_recurrence_e2, coeff_recurrence_e3,
                          coeff_triple_sum, coefficient, triangle)
@@ -82,49 +90,99 @@ class VerifyReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _witnesses(raw: list[dict], cap: int = WITNESS_CAP) -> tuple[tuple, str]:
-    capped = tuple(raw[:cap])
-    extra = f"; {len(raw) - cap} further witnesses suppressed" \
-        if len(raw) > cap else ""
-    return capped, extra
+def _verdict(check_id: str, rng: str, failures: list, note: str,
+             witness=None) -> CheckResult:
+    """Pass when nothing failed; the first WITNESS_CAP failures are shown.
+
+    witness, when given, turns one failure into its witness fields; it
+    runs only on the failures that are shown.
+    """
+    shown = failures[:WITNESS_CAP]
+    if witness is not None:
+        shown = [witness(f) for f in shown]
+    if len(failures) > WITNESS_CAP:
+        note += f"; {len(failures) - WITNESS_CAP} further witnesses suppressed"
+    return CheckResult(check_id, rng, "fail" if failures else "pass",
+                       tuple(shown), note)
+
+
+def _worst(check_id: str, rng: str, domain, measure, tol: float,
+           fields: tuple, note: str) -> CheckResult:
+    """Pass when measure(*case) stays within tol over every case of domain.
+
+    The witness is the first case of largest value: fields names its
+    coordinates and then the value.  The scan starts from 0.0, so when
+    no value is positive the witness names no case (its coordinates
+    read None).
+    """
+    worst, where = 0.0, (None,) * (len(fields) - 1)
+    for case in domain:
+        value = measure(*case)
+        if value > worst:
+            worst, where = value, case
+    return CheckResult(check_id, rng, "pass" if worst <= tol else "fail",
+                       (dict(zip(fields, map(str, (*where, worst)))),), note)
+
+
+def _compare(check_id: str, rng: str, domain, got, want, labels: tuple,
+             keys: tuple, note: str) -> CheckResult:
+    """Verdict on got(*case) == want(*case) for every case of domain.
+
+    labels names the coordinates of a case and keys the two values in a
+    witness; note may use {count}, the number of cases compared.
+    """
+    failures = []
+    count = 0
+    for case in domain:
+        count += 1
+        g, w = got(*case), want(*case)
+        if g != w:
+            failures.append((*case, g, w))
+    return _verdict(check_id, rng, failures, note.format(count=count),
+                    lambda f: dict(zip(labels + keys, map(str, f))))
+
+
+def _powers(n: int) -> range:
+    return range(n + 1)
+
+
+def _grid(ps, m_max: int, n_max: int, *axes):
+    """Cells (family, n, ...) for p in ps, m <= m_max and m <= n <= n_max.
+
+    Each axis adds one coordinate, looping inside the ones before it:
+    a fixed tuple of values, or a function of n giving them.
+    """
+    for p in ps:
+        for m in range(m_max + 1):
+            fam = Family(m, p)
+            for n in range(m, n_max + 1):
+                for rest in product(*(a(n) if callable(a) else a
+                                      for a in axes)):
+                    yield (fam, n, *rest)
 
 
 # ---------------------------------------------------------------- oracle
 
 def check_oracle(max_ground: int = 10, p_max: int = 4) -> CheckResult:
     checked, failures = sweep_oracle_vs_closed(max_ground, p_max)
-    wit, extra = _witnesses(failures)
-    status = "pass" if not failures else "fail"
-    return CheckResult("oracle-closed-vs-enumeration",
-                       f"n*p+m<={max_ground}, p<={p_max}", status, wit,
-                       f"{checked} configurations enumerated{extra}")
+    return _verdict("oracle-closed-vs-enumeration",
+                    f"n*p+m<={max_ground}, p<={p_max}", failures,
+                    f"{checked} configurations enumerated")
 
 
 # ------------------------------------------------------------ identities
 
-def _identity_check(identity_id: str, max_ground: int) -> CheckResult:
-    rep = check_identity(identity_id, max_ground=max_ground)
-    wit, extra = _witnesses([{k: str(v) for k, v in f.items()}
-                             for f in rep.failures])
-    return CheckResult(f"identity-{identity_id}", f"n*p+m<={max_ground}",
-                       "pass" if rep.passed else "fail", wit,
-                       f"{rep.checked} instances checked{extra}")
+def _identity_check(identity_id: str) -> CheckResult:
+    checked, failures = check_identity(identity_id, max_ground=12)
+    return _verdict(f"identity-{identity_id}", "n*p+m<=12", failures,
+                    f"{checked} instances checked",
+                    lambda f: {k: str(v) for k, v in f.items()})
 
 
-def check_identity_e1() -> CheckResult:
-    return _identity_check("E1", 12)
-
-
-def check_identity_e2() -> CheckResult:
-    return _identity_check("E2", 12)
-
-
-def check_identity_e4() -> CheckResult:
-    return _identity_check("E4", 12)
-
-
-def check_identity_e3_corrected() -> CheckResult:
-    return _identity_check("E3-corrected", 12)
+check_identity_e1 = partial(_identity_check, "E1")
+check_identity_e2 = partial(_identity_check, "E2")
+check_identity_e4 = partial(_identity_check, "E4")
+check_identity_e3_corrected = partial(_identity_check, "E3-corrected")
 
 
 def check_identity_e3_printed() -> CheckResult:
@@ -135,376 +193,270 @@ def check_identity_e3_printed() -> CheckResult:
     """
     lhs = f_closed(2, 0, 0, 2)
     rhs = sum(binomial(2, i) * f_closed(1, 1 - i, 0, 1) for i in range(1, 3))
-    rep = check_identity("E3-printed", max_ground=10)
-    reproduces = lhs == 4 and rhs == 2 and not rep.passed
+    checked, failures = check_identity("E3-printed", max_ground=10)
+    reproduces = lhs == 4 and rhs == 2 and bool(failures)
     wit = ({"n": "2", "k": "0", "m": "0", "p": "2",
             "lhs": str(lhs), "rhs": str(rhs)},)
     return CheckResult(
         "identity-E3-printed", "witness (2,0,0,2); sweep n*p+m<=10",
         "erratum-confirmed" if reproduces else "fail", wit,
-        f"printed sign/argument variant fails {len(rep.failures)} of "
-        f"{rep.checked} instances; corrected variant passes the same sweep")
+        f"printed sign/argument variant fails {len(failures)} of "
+        f"{checked} instances; corrected variant passes the same sweep")
 
 
 def check_chebyshev_u_coefficient() -> CheckResult:
-    failures = []
     tri = triangle(U_FAMILY)
-    for n in range(0, 31):
-        row = tri.row(n)
-        for k in range(n + 1):
-            got = chebyshev_u_coefficient(n, k)
-            if got != row[k]:
-                failures.append({"n": str(n), "k": str(k), "corollary": str(got),
-                                 "triangle": str(row[k])})
-    wit, extra = _witnesses(failures)
-    return CheckResult("chebyshev-u-coefficient", "n<=30, all k",
-                       "pass" if not failures else "fail", wit,
-                       f"496 coefficients compared{extra}")
+    return _compare("chebyshev-u-coefficient", "n<=30, all k",
+                    ((n, k) for n in range(31) for k in _powers(n)),
+                    chebyshev_u_coefficient, lambda n, k: tri.row(n)[k],
+                    ("n", "k"), ("corollary", "triangle"),
+                    "{count} coefficients compared")
 
 
 # ---------------------------------------------------------- constructions
 
-def _row_sweep(check_id: str, rng: str, domain, keys: tuple[str, str],
-               note: str) -> CheckResult:
-    """Compare rows built by another route with the definitional rows.
-
-    domain yields (family, n, labels, row); labels are the witness
-    fields naming the route, keys name the fields of the two rows.
-    """
-    failures = []
-    count = 0
-    for fam, n, labels, got in domain:
-        count += 1
-        base = build_definitional(n, fam)
-        if got != base:
-            failures.append({"family": str(fam), "n": str(n), **labels,
-                             keys[0]: str(got), keys[1]: str(base)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(check_id, rng, "pass" if not failures else "fail", wit,
-                       f"{count} {note}{extra}")
+def _definitional(fam: Family, n: int, *_) -> IntPolynomial:
+    return build_definitional(n, fam)
 
 
-def _rows(ps, m_max: int, n_max: int):
-    for p in ps:
-        for m in range(0, m_max + 1):
-            for n in range(m, n_max + 1):
-                yield Family(m, p), n
+_T_ROUTES = {f"t-recurrence(t={t})":
+             lambda n, fam, t=t: build_via_t_recurrence(n, fam, t)
+             for t in range(0, 4)}
 
 
-_T_ROUTES = tuple((f"t-recurrence(t={t})",
-                   lambda n, fam, t=t: build_via_t_recurrence(n, fam, t))
-                  for t in range(0, 4))
-
-
-def _route_domain(ps, m_max: int, n_max: int, routes):
-    return ((fam, n, {"route": label}, build(n, fam))
-            for fam, n in _rows(ps, m_max, n_max) for label, build in routes)
+def _route_check(check_id: str, rng: str, ps, m_max: int, n_max: int,
+                 routes: dict) -> CheckResult:
+    """Rows built by each route against the definitional rows."""
+    return _compare(check_id, rng, _grid(ps, m_max, n_max, tuple(routes)),
+                    lambda fam, n, route: routes[route](n, fam),
+                    _definitional, ("family", "n", "route"),
+                    ("got", "expected"), "{count} route comparisons")
 
 
 def check_four_way_p2() -> CheckResult:
-    routes = (("reduction", build_by_reduction),
-              ("three-term", build_by_three_term)) + _T_ROUTES
-    return _row_sweep("construction-four-way-p2", "p=2, m<=6, n<=30, t<=3",
-                      _route_domain((2,), 6, 30, routes), ("got", "expected"),
-                      "route comparisons")
+    return _route_check("construction-four-way-p2", "p=2, m<=6, n<=30, t<=3",
+                        (2,), 6, 30, {"reduction": build_by_reduction,
+                                      "three-term": build_by_three_term,
+                                      **_T_ROUTES})
 
 
 def check_three_way_other_p() -> CheckResult:
-    routes = (("reduction", build_by_reduction),) + _T_ROUTES
-    return _row_sweep("construction-reduction-trecurrence",
-                      "p in {1,3,4}, m<=4, n<=16, t<=3",
-                      _route_domain((1, 3, 4), 4, 16, routes),
-                      ("got", "expected"), "route comparisons")
+    return _route_check("construction-reduction-trecurrence",
+                        "p in {1,3,4}, m<=4, n<=16, t<=3", (1, 3, 4), 4, 16,
+                        {"reduction": build_by_reduction, **_T_ROUTES})
 
 
 def check_three_term_printed() -> CheckResult:
     """The three-term corollary exactly as published (no closing term)."""
-    return _row_sweep(
-        "three-term-printed", "p=2, m<=6, n<=30",
-        ((fam, n, {}, build_by_three_term(n, fam, variant="printed"))
-         for fam, n in _rows((2,), 6, 30)),
-        ("printed", "definitional"),
-        "rows compared; printed seeds drop the closing binomial term, so "
-        "rows m+2..2m disagree for m>=2")
+    return _compare(
+        "three-term-printed", "p=2, m<=6, n<=30", _grid((2,), 6, 30),
+        lambda fam, n: build_by_three_term(n, fam, variant="printed"),
+        _definitional, ("family", "n"), ("printed", "definitional"),
+        "{count} rows compared; printed seeds drop the closing binomial "
+        "term, so rows m+2..2m disagree for m>=2")
 
 
 def check_reduction_printed() -> CheckResult:
     """The reduction to m = 0 exactly as published, p<=2 safe only."""
-    return _row_sweep(
-        "reduction-printed", "p in {3,4}, m<=4, n<=16",
-        ((fam, n, {}, build_by_reduction(n, fam, variant="printed"))
-         for fam, n in _rows((3, 4), 4, 16)),
-        ("printed", "definitional"),
-        "rows compared; the window claim in the published proof (counts "
-        "vanish past the diagonal) only holds for p<=2")
+    return _compare(
+        "reduction-printed", "p in {3,4}, m<=4, n<=16", _grid((3, 4), 4, 16),
+        lambda fam, n: build_by_reduction(n, fam, variant="printed"),
+        _definitional, ("family", "n"), ("printed", "definitional"),
+        "{count} rows compared; the window claim in the published proof "
+        "(counts vanish past the diagonal) only holds for p<=2")
 
 
 def check_t_recurrence_printed() -> CheckResult:
     """The t-fold recurrence exactly as published, which is p<=2 safe only."""
-    return _row_sweep(
+    return _compare(
         "t-recurrence-printed", "p in {3,4}, m<=3, n<=10, 1<=t<=3",
-        ((fam, n, {"t": str(t)},
-          build_via_t_recurrence(n, fam, t, variant="printed"))
-         for fam, n in _rows((3, 4), 3, 10) for t in range(1, 4)),
-        ("printed", "definitional"),
-        "rows compared; the printed sum silently drops counts whose power "
-        "index goes negative, which only cancels for p<=2")
+        _grid((3, 4), 3, 10, range(1, 4)),
+        lambda fam, n, t: build_via_t_recurrence(n, fam, t, variant="printed"),
+        _definitional, ("family", "n", "t"), ("printed", "definitional"),
+        "{count} rows compared; the printed sum silently drops counts whose "
+        "power index goes negative, which only cancels for p<=2")
 
 
 # ------------------------------------------------------------------ trig
 
 def check_trig_residual() -> CheckResult:
-    worst = (0.0, None, None)
-    for n in range(3, 26):
-        for j in range(1000):
-            theta = math.pi * (j + 0.5) / 1000
-            r = trig_form_residual(n, theta)
-            if r > worst[0]:
-                worst = (r, n, theta)
-    ok = worst[0] <= 1e-12
-    wit = ({"n": str(worst[1]), "theta": repr(worst[2]),
-            "residual": repr(worst[0])},)
-    return CheckResult("trig-closed-form-residual",
-                       "3<=n<=25, 1000 theta points",
-                       "pass" if ok else "fail", wit,
-                       "max |P_n(cos t) + sin t sin((n-1)t)|")
+    thetas = [math.pi * (j + 0.5) / 1000 for j in range(1000)]
+    return _worst("trig-closed-form-residual", "3<=n<=25, 1000 theta points",
+                  ((n, theta) for n in range(3, 26) for theta in thetas),
+                  trig_form_residual, 1e-12, ("n", "theta", "residual"),
+                  "max |P_n(cos t) + sin t sin((n-1)t)|")
 
 
 # ----------------------------------------------------------------- zeros
 
 def check_zero_values() -> CheckResult:
-    worst = (0.0, None, None)
-    for n in range(3, 21):
-        poly = build_definitional(n, P_FAMILY)
-        for x in closed_form_zeros(n).roots:
-            v = abs(float(evaluate_exact_at_float(poly, x)))
-            if v > worst[0]:
-                worst = (v, n, x)
-    ok = worst[0] <= 1e-10
-    wit = ({"n": str(worst[1]), "x": repr(worst[2]), "|P(x)|": repr(worst[0])},)
-    return CheckResult("zeros-closed-form-values", "3<=n<=20",
-                       "pass" if ok else "fail", wit,
-                       "|P| at the closed-form zeros, polynomial evaluated "
-                       "exactly at the rounded root")
+    return _worst(
+        "zeros-closed-form-values", "3<=n<=20",
+        ((n, x) for n in range(3, 21) for x in closed_form_zeros(n).roots),
+        lambda n, x: abs(float(evaluate_exact_at_float(
+            build_definitional(n, P_FAMILY), x))),
+        1e-10, ("n", "x", "|P(x)|"),
+        "|P| at the closed-form zeros, polynomial evaluated exactly at the "
+        "rounded root")
+
+
+def _zero_gap(n: int) -> float:
+    """Largest distance between paired closed-form and numeric roots.
+
+    Root sets of different sizes cannot be paired: their gap is inf.
+    """
+    closed = closed_form_zeros(n)
+    numeric = numeric_zeros(build_definitional(n, P_FAMILY), P_FAMILY)
+    if numeric.count != closed.count:
+        return math.inf
+    return max(abs(a - b) for a, b in zip(closed.roots, numeric.roots))
 
 
 def check_zeros_numeric() -> CheckResult:
-    worst = (0.0, None)
-    failures = []
-    for n in range(3, 21):
-        closed = closed_form_zeros(n)
-        numeric = numeric_zeros(build_definitional(n, P_FAMILY), P_FAMILY)
-        if numeric.count != closed.count:
-            failures.append({"n": str(n), "closed": str(closed.count),
-                             "numeric": str(numeric.count)})
-            continue
-        gap = max(abs(a - b) for a, b in zip(closed.roots, numeric.roots))
-        if gap > worst[0]:
-            worst = (gap, n)
-    ok = not failures and worst[0] <= 1e-10
-    wit = tuple(failures) or ({"n": str(worst[1]), "max-gap": repr(worst[0])},)
-    return CheckResult("zeros-numeric-agreement", "3<=n<=20",
-                       "pass" if ok else "fail", wit,
-                       "Sturm isolation + exact bisection vs closed form")
+    return _worst("zeros-numeric-agreement", "3<=n<=20",
+                  ((n,) for n in range(3, 21)), _zero_gap, 1e-10,
+                  ("n", "max-gap"),
+                  "Sturm isolation + exact bisection vs closed form")
 
 
 # ---------------------------------------------------------------- bounds
 
 def check_bound_unit_circle() -> CheckResult:
-    worst = (0.0, None)
-    for n in range(3, 61):
-        v = bound_check(n)
-        if v > worst[0]:
-            worst = (v, n)
-    ok = worst[0] <= 1 + 1e-12
-    wit = ({"n": str(worst[1]), "max P^2+x^2": repr(worst[0])},)
-    return CheckResult("bound-unit-circle", "3<=n<=60, exact identity",
-                       "pass" if ok else "fail", wit,
-                       "P_n(x)^2 + x^2 <= 1 on [-1,1]: 1 - x^2 - P_n^2 = "
-                       "(1-x^2) T_(n-1)^2 as integer polynomials (Pell)")
+    return _worst("bound-unit-circle", "3<=n<=60, exact identity",
+                  ((n,) for n in range(3, 61)), bound_check, 1 + 1e-12,
+                  ("n", "max P^2+x^2"),
+                  "P_n(x)^2 + x^2 <= 1 on [-1,1]: 1 - x^2 - P_n^2 = "
+                  "(1-x^2) T_(n-1)^2 as integer polynomials (Pell)")
 
 
 def check_bound_monic_sup() -> CheckResult:
-    failures = []
-    worst_ratio = 0.0
-    for n in range(3, 21):
-        sup = monic_sup_norm(n)
-        limit = 2.0 ** (2 - n)
-        worst_ratio = max(worst_ratio, sup / limit)
-        if sup > limit + 1e-12:
-            failures.append({"n": str(n), "sup": repr(sup),
-                             "limit": repr(limit)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(
+    sups = [(n, monic_sup_norm(n), 2.0 ** (2 - n)) for n in range(3, 21)]
+    ratio = max(0.0, *(sup / limit for _, sup, limit in sups))
+    return _verdict(
         "bound-monic-sup-norm", "3<=n<=20",
-        "pass" if not failures else "fail", wit,
+        [{"n": str(n), "sup": repr(sup), "limit": repr(limit)}
+         for n, sup, limit in sups if sup > limit + 1e-12],
         f"monic row sup-norm stays within twice the minimal 2^(1-n); "
-        f"worst ratio to 2^(2-n) is {worst_ratio:.6f}{extra}")
+        f"worst ratio to 2^(2-n) is {ratio:.6f}")
 
 
 # ----------------------------------------------------------- orthogonality
 
-def _gram_pattern_check(check_id: str, q: int) -> CheckResult:
+def _gram_pattern_check(q: int) -> CheckResult:
     w = Weight(q)
-    deviations = []
-    for n in range(3, 16):
-        for m in range(n, 16):
-            got = inner_product_exact(n, m, P_FAMILY, w)
-            want = theorem_band_value(m - n, w)
-            if got != want:
-                deviations.append({"n": str(n), "m": str(m), "got": str(got),
-                                   "pattern": str(want)})
-    wit, extra = _witnesses(deviations)
-    return CheckResult(check_id, f"n,m in [3,15], weight (1-x^2)^({q}/2)",
-                       "pass" if not deviations else "fail", wit,
-                       f"exact PiRational comparison against the published "
-                       f"band pattern{extra}")
+    return _compare(f"gram-pattern-q{q}",
+                    f"n,m in [3,15], weight (1-x^2)^({q}/2)",
+                    ((n, m) for n in range(3, 16) for m in range(n, 16)),
+                    lambda n, m: inner_product_exact(n, m, P_FAMILY, w),
+                    lambda n, m: theorem_band_value(m - n, w),
+                    ("n", "m"), ("got", "pattern"),
+                    "exact PiRational comparison against the published "
+                    "band pattern")
 
 
-def check_gram_q_minus1() -> CheckResult:
-    return _gram_pattern_check("gram-pattern-q-1", -1)
-
-
-def check_gram_q1() -> CheckResult:
-    return _gram_pattern_check("gram-pattern-q1", 1)
-
-
-def check_gram_q3() -> CheckResult:
-    return _gram_pattern_check("gram-pattern-q3", 3)
+check_gram_q_minus1 = partial(_gram_pattern_check, -1)
+check_gram_q1 = partial(_gram_pattern_check, 1)
+check_gram_q3 = partial(_gram_pattern_check, 3)
 
 
 def check_gram_parity_q0() -> CheckResult:
     w = Weight(0)
-    failures = []
-    count = 0
-    for n in range(3, 16):
-        for m in range(n + 1, 16, 2):
-            count += 1
-            got = inner_product_exact(n, m, P_FAMILY, w)
-            if not got.is_zero():
-                failures.append({"n": str(n), "m": str(m), "got": str(got)})
-    wit, extra = _witnesses(failures)
-    return CheckResult("gram-parity-q0",
-                       "opposite-parity n,m in [3,15], weight 1",
-                       "pass" if not failures else "fail", wit,
-                       f"{count} inner products, each exactly zero{extra}")
+    zero = PiRational.of(0)
+    return _compare("gram-parity-q0", "opposite-parity n,m in [3,15], weight 1",
+                    ((n, m) for n in range(3, 16) for m in range(n + 1, 16, 2)),
+                    lambda n, m: inner_product_exact(n, m, P_FAMILY, w),
+                    lambda n, m: zero, ("n", "m"), ("got", "expected"),
+                    "{count} inner products, each exactly zero")
+
+
+def _gram_gap(entry: tuple) -> float:
+    n, m, q = entry
+    w = Weight(q)
+    return abs(float(inner_product_exact(n, m, P_FAMILY, w))
+               - inner_product_numeric(n, m, P_FAMILY, w))
 
 
 def check_gram_numeric_agreement() -> CheckResult:
-    worst = (0.0, None)
-    count = 0
-    for q in (-1, 0, 1, 3):
-        w = Weight(q)
-        for n in range(3, 16):
-            for m in range(n, 16):
-                count += 1
-                d = abs(float(inner_product_exact(n, m, P_FAMILY, w))
-                        - inner_product_numeric(n, m, P_FAMILY, w))
-                if d > worst[0]:
-                    worst = (d, (n, m, q))
-    ok = worst[0] <= 1e-10
-    wit = ({"entry": str(worst[1]), "difference": repr(worst[0])},)
-    return CheckResult("gram-exact-vs-numeric",
-                       "q in {-1,0,1,3} full [3,15]",
-                       "pass" if ok else "fail", wit,
-                       f"{count} entries, Gauss quadrature vs exact integrals")
+    entries = [((n, m, q),) for q in (-1, 0, 1, 3)
+               for n in range(3, 16) for m in range(n, 16)]
+    return _worst("gram-exact-vs-numeric", "q in {-1,0,1,3} full [3,15]",
+                  entries, _gram_gap, 1e-10, ("entry", "difference"),
+                  f"{len(entries)} entries, Gauss quadrature vs exact "
+                  f"integrals")
 
 
 # ------------------------------------------------------------ recurrences
 
-def _coeff_sweep(check_id: str, rng: str, fn, domain, note: str) -> CheckResult:
-    failures = []
-    count = 0
-    for n, k, fam, args in domain:
-        count += 1
-        got = fn(n, k, fam, *args)
-        want = coefficient(n, k, fam)
-        if got != want:
-            failures.append({"family": str(fam), "n": str(n), "k": str(k),
-                             **({"t": str(args[0])} if args else {}),
-                             "got": str(got), "coefficient": str(want)})
-    wit, extra = _witnesses(failures)
-    return CheckResult(check_id, rng, "pass" if not failures else "fail", wit,
-                       f"{count} coefficients; {note}{extra}")
+def _coefficient(fam: Family, n: int, k: int, *_) -> int:
+    return coefficient(n, k, fam)
 
 
-def _e2_domain():
-    for p in (1, 2, 3, 4):
-        for m in range(0, 5):
-            fam = Family(m, p)
-            for n in range(m, 15):
-                for t in range(0, 4):
-                    for k in range(0, n + 1):
-                        yield n, k, fam, (t,)
+def _e2_cells():
+    # t loops outside k, but a witness names k before t.
+    return ((fam, n, k, t) for fam, n, t, k
+            in _grid((1, 2, 3, 4), 4, 14, range(4), _powers))
 
 
 def check_coeff_e2_corrected() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "coeff-recurrence-E2-corrected", "p<=4, m<=4, n<=14, t<=3",
-        lambda n, k, fam, t: coeff_recurrence_e2(n, k, fam, t),
-        _e2_domain(), "t-fold coefficient recurrence with the closing counts")
+        _e2_cells(), lambda fam, n, k, t: coeff_recurrence_e2(n, k, fam, t),
+        _coefficient, ("family", "n", "k", "t"), ("got", "coefficient"),
+        "{count} coefficients; t-fold coefficient recurrence with the "
+        "closing counts")
 
 
 def check_coeff_e2_printed() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "coeff-recurrence-E2-printed", "p<=4, m<=4, n<=14, t<=3",
-        lambda n, k, fam, t: coeff_recurrence_e2(n, k, fam, t,
+        _e2_cells(),
+        lambda fam, n, k, t: coeff_recurrence_e2(n, k, fam, t,
                                                  variant="printed"),
-        _e2_domain(), "verbatim published sum; exact only for p<=2 or t=0")
-
-
-def _e3_domain(full: bool):
-    for p in (2, 3, 4):
-        for m in range(0, 5):
-            fam = Family(m, p)
-            for n in range(max(m, 1), 15):
-                for k in range(0, n + 1):
-                    if full or (n + k >= 2 * m + 2 and (p == 2 or k >= 1)):
-                        yield n, k, fam, ()
+        _coefficient, ("family", "n", "k", "t"), ("got", "coefficient"),
+        "{count} coefficients; verbatim published sum; exact only for p<=2 "
+        "or t=0")
 
 
 def check_coeff_e3_corrected() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "coeff-recurrence-E3-corrected",
         "p in {2,3,4}, m<=4, n<=14, n+k>=2m+2, k>=1 for p>2",
-        lambda n, k, fam: coeff_recurrence_e3(n, k, fam, "corrected"),
-        _e3_domain(full=False),
-        "sign-repaired recurrence; excluded are the anti-diagonal n+k=2m, "
-        "where the descent has no room, and k=0 for p>=3, where its power "
-        "-1 lookup discards nonzero count mass")
+        ((fam, n, k) for fam, n, k in _grid((2, 3, 4), 4, 14, _powers)
+         if n + k >= 2 * fam.m + 2 and (fam.p == 2 or k >= 1)),
+        lambda fam, n, k: coeff_recurrence_e3(n, k, fam, "corrected"),
+        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        "{count} coefficients; sign-repaired recurrence; excluded are the "
+        "anti-diagonal n+k=2m, where the descent has no room, and k=0 for "
+        "p>=3, where its power -1 lookup discards nonzero count mass")
 
 
 def check_coeff_e3_printed() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "coeff-recurrence-E3-printed", "p in {2,3,4}, m<=4, n<=14, all k",
-        lambda n, k, fam: coeff_recurrence_e3(n, k, fam, "printed"),
-        _e3_domain(full=True),
-        "verbatim published recurrence (printed sign)")
-
-
-def _triple_domain():
-    for p in (2, 3, 4):
-        for m in range(0, 5):
-            fam = Family(m, p)
-            for n in range(m, 13):
-                for k in range(0, n + 1):
-                    yield n, k, fam, ()
+        ((fam, n, k) for fam, n, k in _grid((2, 3, 4), 4, 14, _powers)
+         if n >= 1),
+        lambda fam, n, k: coeff_recurrence_e3(n, k, fam, "printed"),
+        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        "{count} coefficients; verbatim published recurrence (printed sign)")
 
 
 def check_triple_sum_corrected() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "triple-sum-corrected", "p in {2,3,4}, m<=4, n<=12",
-        lambda n, k, fam: coeff_triple_sum(n, k, fam, variant="corrected"),
-        _triple_domain(),
-        "three-fold reduction to the (0, p-1) triangle, repaired index "
-        "translation")
+        _grid((2, 3, 4), 4, 12, _powers),
+        lambda fam, n, k: coeff_triple_sum(n, k, fam, variant="corrected"),
+        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        "{count} coefficients; three-fold reduction to the (0, p-1) "
+        "triangle, repaired index translation")
 
 
 def check_triple_sum_printed() -> CheckResult:
-    return _coeff_sweep(
+    return _compare(
         "triple-sum-printed", "p in {2,3,4}, m<=4, n<=12",
-        lambda n, k, fam: coeff_triple_sum(n, k, fam, variant="printed"),
-        _triple_domain(), "verbatim published triple sum")
+        _grid((2, 3, 4), 4, 12, _powers),
+        lambda fam, n, k: coeff_triple_sum(n, k, fam, variant="printed"),
+        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        "{count} coefficients; verbatim published triple sum")
 
 
 # ---------------------------------------------------------------- errata

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from blockcheb import _subsetcount_py
+from blockcheb import _subsetcount_py, blockcount
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
                                   _f_closed_raw, _kernel, check_identity,
                                   f_closed, f_oracle, sweep_oracle_vs_closed)
@@ -95,6 +95,17 @@ def test_sweep_leaves_closed_form_cache_alone():
     assert _f_closed_raw.cache_info().currsize == 0
 
 
+def test_sweep_rejects_bound_before_enumerating(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("kernel called before the bound check")
+    monkeypatch.setattr(blockcount, "_kernel", no_kernel)
+    blockcount._counts_cached.cache_clear()
+    with pytest.raises(GroundSetTooLargeError, match="max_ground 40"):
+        sweep_oracle_vs_closed(max_ground=40)
+    with pytest.raises(GroundSetTooLargeError):
+        sweep_oracle_vs_closed(max_ground=ENUMERATION_BOUND + 1, p_max=1)
+
+
 def test_oracle_respects_enumeration_bound():
     assert ENUMERATION_BOUND == 24
     assert f_oracle(10, 0, 0, 2) == f_closed(10, 0, 0, 2)
@@ -123,22 +134,24 @@ def test_identity_sweep_counts_and_outcomes():
     expectations = {"E1": (2204, True), "E2": (8816, True),
                     "E4": (1203, True), "E3-corrected": (852, True)}
     for identity_id, (checked, passed) in expectations.items():
-        report = check_identity(identity_id, max_ground=12)
-        assert report.checked == checked
-        assert report.passed is passed
+        count, failures = check_identity(identity_id, max_ground=12)
+        assert count == checked
+        assert (not failures) is passed
 
 
 def test_identity_e3_printed_fails_with_canonical_witness():
-    report = check_identity("E3-printed", max_ground=10)
-    assert not report.passed
+    checked, failures = check_identity("E3-printed", max_ground=10)
+    assert (checked, len(failures)) == (517, 170)
     assert {"n": 2, "k": 0, "m": 0, "p": 2,
-            "lhs": 4, "rhs": 2} in report.failures
+            "lhs": 4, "rhs": 2} in failures
 
 
-def test_identity_report_ranges():
-    assert check_identity("E2", max_ground=6, t_max=2).ranges == \
-        {"max_ground": 6, "p_max": 4, "t_max": 2}
-    assert "t_max" not in check_identity("E1", max_ground=6).ranges
+def test_identity_e2_sweeps_every_t():
+    # E1 checks one instance per configuration, E2 one per t = 0..t_max.
+    configurations, _ = check_identity("E1", max_ground=6)
+    checked, failures = check_identity("E2", max_ground=6, t_max=2)
+    assert checked == 3 * configurations
+    assert failures == []
 
 
 def test_unknown_identity_rejected():

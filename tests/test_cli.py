@@ -274,6 +274,26 @@ def test_config_errors_exit_2(capsys):
         assert err == f"error: row {past_limit} above the row limit {MAX_ROW}\n"
 
 
+def test_unusable_paths_exit_2(capsys, tmp_path):
+    regular = tmp_path / "plain-file"
+    regular.write_text("", encoding="utf-8")
+    for argv in (("triangle", "--max-n", "3", "--cache-dir", str(regular)),
+                 ("export", "--max-n", "3", "--cache-dir",
+                  str(regular / "sub")),
+                 ("export", "--max-n", "3",
+                  "--out", str(tmp_path / "missing" / "x"))):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_oracle_past_enumeration_bound_exits_2(capsys):
+    code, out, err = _run(capsys, "oracle", "--max-ground", "40")
+    assert (code, out) == (2, "")
+    assert err == ("error: oracle sweep max_ground 40 exceeds enumeration "
+                   "bound 24\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
