@@ -184,6 +184,9 @@ class TriangleCache:
 
     def __init__(self, directory: str):
         self.directory = directory
+        if not os.path.isdir(directory) and os.path.exists(directory):
+            raise InvalidConfigError(
+                f"cache directory {directory!r} is not a directory")
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, family: Family) -> str:

@@ -30,6 +30,8 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import comb
 
 from .blockcount import f_closed
 from .errors import InvalidConfigError
@@ -98,12 +100,12 @@ class IntPolynomial:
         return hash(self._c)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self._c), len(other._c))
-        return IntPolynomial([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return IntPolynomial([a + b for a, b in
+                              zip_longest(self._c, other._c, fillvalue=0)])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self._c), len(other._c))
-        return IntPolynomial([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return IntPolynomial([a - b for a, b in
+                              zip_longest(self._c, other._c, fillvalue=0)])
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self._c])
@@ -174,7 +176,8 @@ def _coeff_any(n: int, k: int, family: Family) -> int:
     if a < 0:
         return 0
     b = (n - k) // 2
-    return (-1) ** b * f_closed(a, b, family.m, family.p)
+    val = f_closed(a, b, family.m, family.p)
+    return -val if b % 2 else val
 
 
 class Triangle:
@@ -397,8 +400,8 @@ def _t_recurrence_deficit(n: int, k: int, family: Family, t: int) -> int:
     b = (n - k) // 2
     total = 0
     for i in range(k + 1, t + 1):
-        total += (-1) ** i * binomial(t, i) * \
-            f_closed(a, b + t, family.m + t - i, family.p)
+        term = comb(t, i) * f_closed(a, b + t, family.m + t - i, family.p)
+        total += -term if i % 2 else term
     return -total if b % 2 else total
 
 
@@ -445,9 +448,14 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
         raise InvalidConfigError("t must be nonnegative")
     _check_variant(variant)
     total = 0
+    if (n - k) % 2:     # then every lookup and the deficit vanish
+        return total
     for i in range(t + 1):
         other = Family(family.m + t - i, family.p)
-        total += (-1) ** (i + t) * binomial(t, i) * _coeff_any(n + 2 * t - i, k - i, other)
+        c = _coeff_any(n + 2 * t - i, k - i, other)
+        if c:
+            term = comb(t, i) * c
+            total += -term if (i + t) % 2 else term
     if variant == "corrected":
         total += _t_recurrence_deficit(n, k, family, t)
     return total
@@ -519,23 +527,31 @@ def coeff_triple_sum(n: int, k: int, family: Family,
     _check_variant(variant)
     base = Family(0, family.p - 1)
     m = family.m
-    total = 0
-    if variant == "printed":
-        for i in range(n + 1):
-            for j in range(i + 1):
-                for t in range(m + 1):
-                    total += binomial(n, i) * binomial(m, t) * binomial(i, j) * \
-                        (-1) ** (i - j + t) * _coeff_any(n - i - t, k + i - 2 * j + t, base)
-        return total
+    # Every lookup (N, K) has N - K = n - k - 2(i - j + t), and both
+    # lookups vanish unless that is even and >= 0: so an odd n - k gives 0,
+    # and j and t stop where N - K would turn negative.  One loop serves
+    # both variants; only the outer range top (n or a), the index shift
+    # of the lookups (0 or m) and the lookup differ.  Every binomial is in
+    # range by construction, so math.comb needs no guard.
     if (n - k) % 2:
         return 0
-    a = (n + k - 2 * m) // 2
-    for i in range(max(a + 1, 0)):
-        for j in range(i + 1):
-            for t in range(m + 1):
-                total += binomial(a, i) * binomial(m, t) * binomial(i, j) * \
-                    (-1) ** (i - j + t) * \
-                    _virtual_coeff(n - m - i - t, k - m + i - 2 * j + t, base)
+    if variant == "printed":
+        top, shift, lookup = n, 0, _coeff_any
+    else:
+        top, shift, lookup = (n + k - 2 * m) // 2, m, _virtual_coeff
+    half = (n - k) // 2
+    signed_cmt = [-comb(m, t) if t % 2 else comb(m, t) for t in range(m + 1)]
+    total = 0
+    for i in range(max(top + 1, 0)):
+        c_top_i, row = comb(top, i), n - shift - i
+        for j in range(max(i - half, 0), i + 1):
+            outer, power = c_top_i * comb(i, j), k - shift + i - 2 * j
+            if (i - j) % 2:
+                outer = -outer
+            for t in range(min(m, half - i + j) + 1):
+                c = lookup(row - t, power + t, base)
+                if c:
+                    total += outer * signed_cmt[t] * c
     return total
 
 

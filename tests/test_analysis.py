@@ -1,15 +1,16 @@
 """Evaluation, zeros, extrema and bounds of the (2, 2) rows."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockcheb import analysis
+from blockcheb import analysis, cli
 from blockcheb.analysis import (bound_check, closed_form_zeros, evaluate,
                                 evaluate_exact_at_float, extrema,
                                 monic_sup_norm, numeric_zeros,
@@ -19,6 +20,7 @@ from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
                                   U_FAMILY, build_definitional)
 
 FROZEN_EXTREMA = Path(__file__).parent / "data" / "extrema_theta.txt"
+ROOT_DIGESTS = Path(__file__).parent / "data" / "golden" / "roots_sha256.txt"
 
 
 # ------------------------------------------------------------- evaluation
@@ -47,6 +49,43 @@ def test_evaluate_exact_at_float_is_dyadic_exact():
 def test_evaluate_empty_polynomial():
     assert evaluate(IntPolynomial(), 3) == 0
     assert evaluate_exact_at_float(IntPolynomial(), 0.7) == 0
+
+
+def _parity_poly(kind: str, coeffs: list) -> IntPolynomial:
+    """coeffs with the odd powers zeroed (even), the even ones (odd), or
+    kept as drawn (mixed)."""
+    keep = {"even": (0,), "odd": (1,), "mixed": (0, 1)}[kind]
+    return IntPolynomial([c if j % 2 in keep else 0
+                          for j, c in enumerate(coeffs)])
+
+
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324,
+                     2.0 ** -1022 - 5e-324, -(2.0 ** -1030), 0.1, -0.75]),
+    # +-2^k out to the largest root bound _real_roots accepts.
+    st.builds(lambda k, sign: math.copysign(math.ldexp(1.0, k), sign),
+              st.integers(-1074, 1023), st.sampled_from((1.0, -1.0))),
+    st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("even", "odd", "mixed")),
+       st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=14), _POINTS)
+@example("even", [], 0.5)                   # zero polynomial
+@example("even", [7], -0.0)                 # constant
+@example("odd", [5, 3], 5e-324)             # the even 5 is dropped
+@example("mixed", [1, 1, 1], 2.0 ** 1023)
+def test_exact_ratio_matches_fraction_horner(kind, coeffs, x):
+    """The parity-split evaluation equals Horner in Fractions at the
+    double's exact value, with the unreduced denominator 2^(s deg)."""
+    poly = _parity_poly(kind, coeffs)
+    num, den = analysis._eval_ratio(poly, x)
+    want = Fraction(0)
+    for c in reversed(poly.coeffs):
+        want = want * Fraction(x) + c
+    assert Fraction(num, den) == want
+    s = Fraction(x).denominator.bit_length() - 1
+    assert den == (1 if poly.is_zero() else 2 ** (s * poly.degree))
 
 
 # ---------------------------------------------------------- trig residual
@@ -215,6 +254,20 @@ def test_extrema_match_frozen_theta_route(extrema_to_60):
     got = [f"{n} {t!r} {x!r}" for n, points in extrema_to_60.items()
            for t, x in points]
     assert got == lines
+
+
+def test_root_documents_match_golden_digests(capsys):
+    """zeros --method numeric and extrema documents, byte for byte, as
+    the full-length Horner evaluation wrote them."""
+    lines = ROOT_DIGESTS.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 5
+    for line in lines:
+        command, m, p, n, want = line.split()
+        argv = ["extrema", "--n", n] if command == "extrema" else \
+            ["zeros", "--method", "numeric", "--m", m, "--p", p, "--n", n]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, line
 
 
 def test_extrema_satisfy_tangent_equation(extrema_to_60):

@@ -287,6 +287,18 @@ def test_unusable_paths_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+def test_cache_dir_naming_a_file_says_so(capsys, tmp_path):
+    regular = tmp_path / "plain-file"
+    regular.write_text("", encoding="utf-8")
+    for sub in ("triangle", "export"):
+        code, out, err = _run(capsys, sub, "--max-n", "3",
+                              "--cache-dir", str(regular))
+        assert (code, out) == (2, ""), sub
+        assert err == f"error: cache directory {str(regular)!r} is not a " \
+                      f"directory\n", sub
+    assert regular.read_text(encoding="utf-8") == ""
+
+
 def test_oracle_past_enumeration_bound_exits_2(capsys):
     code, out, err = _run(capsys, "oracle", "--max-ground", "40")
     assert (code, out) == (2, "")

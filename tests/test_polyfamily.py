@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcheb.blockcount import f_closed
 from blockcheb.errors import InvalidConfigError
+from blockcheb.exact import binomial
 from blockcheb.polyfamily import (MAX_ROW, Family, IntPolynomial, P_FAMILY,
                                   T_FAMILY, Triangle, U_FAMILY,
                                   build_by_reduction,
@@ -323,6 +325,78 @@ def test_triple_sum_printed_witnesses():
     assert coefficient(2, 0, U_FAMILY) == -1
     assert coeff_triple_sum(3, 1, U_FAMILY, "printed") == -12
     assert coefficient(3, 1, U_FAMILY) == -4
+
+
+def _triple_sum_reference(n, k, family, variant):
+    """coeff_triple_sum as first written: every factor of every term
+    computed inside the innermost loop, signs as powers of -1."""
+    base = Family(0, family.p - 1)
+    m = family.m
+    total = 0
+    if variant == "printed":
+        for i in range(n + 1):
+            for j in range(i + 1):
+                for t in range(m + 1):
+                    total += binomial(n, i) * binomial(m, t) * binomial(i, j) * \
+                        (-1) ** (i - j + t) * _coeff_any(n - i - t, k + i - 2 * j + t, base)
+        return total
+    if (n - k) % 2:
+        return 0
+    a = (n + k - 2 * m) // 2
+    for i in range(max(a + 1, 0)):
+        for j in range(i + 1):
+            for t in range(m + 1):
+                total += binomial(a, i) * binomial(m, t) * binomial(i, j) * \
+                    (-1) ** (i - j + t) * \
+                    _virtual_coeff(n - m - i - t, k - m + i - 2 * j + t, base)
+    return total
+
+
+def _e2_reference(n, k, family, t, variant):
+    """coeff_recurrence_e2 as first written, deficit included."""
+    total = 0
+    for i in range(t + 1):
+        other = Family(family.m + t - i, family.p)
+        total += (-1) ** (i + t) * binomial(t, i) * _coeff_any(n + 2 * t - i, k - i, other)
+    if variant == "corrected":
+        total += _deficit_reference(n, k, family, t)
+    return total
+
+
+def _deficit_reference(n, k, family, t):
+    """_t_recurrence_deficit as first written."""
+    if k < 0 or k >= t or (n - k) % 2:
+        return 0
+    a = (n + k - 2 * family.m) // 2
+    if a < 0:
+        return 0
+    b = (n - k) // 2
+    total = 0
+    for i in range(k + 1, t + 1):
+        total += (-1) ** i * binomial(t, i) * \
+            f_closed(a, b + t, family.m + t - i, family.p)
+    return -total if b % 2 else total
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+def test_coefficient_sums_match_literal_transcriptions(variant):
+    """The hoisted sums equal the term-by-term loops on every cell,
+    witnesses included: a printed variant fails either way, so its
+    status alone would not show a slip.  Powers run two past each edge
+    of the row, where the sums' index bounds cut in."""
+    for p in (1, 2, 3, 4):
+        for m in range(5):
+            fam = Family(m, p)
+            for n in range(13):
+                for k in range(-2, n + 3):
+                    if p > 1:
+                        assert coeff_triple_sum(n, k, fam, variant) == \
+                            _triple_sum_reference(n, k, fam, variant), \
+                            (fam, n, k)
+                    for t in range(4):
+                        assert coeff_recurrence_e2(n, k, fam, t, variant) \
+                            == _e2_reference(n, k, fam, t, variant), \
+                            (fam, n, k, t)
 
 
 def test_recurrence_variant_validation():
