@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConvergenceError, InvalidConfigError
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
@@ -80,6 +81,12 @@ def _exact_sign(poly: IntPolynomial, x: float) -> int:
     return (num > 0) - (num < 0)
 
 
+# A residual sweep evaluates one row at many theta; a few rows suffice.
+@lru_cache(maxsize=32)
+def _p_row(n: int) -> IntPolynomial:
+    return build_definitional(n, P_FAMILY)
+
+
 def trig_form_residual(n: int, theta: float) -> float:
     """P_n(cos theta) + sin(theta) sin((n-1) theta), zero for n >= 3.
 
@@ -89,7 +96,7 @@ def trig_form_residual(n: int, theta: float) -> float:
     """
     if n < 3:
         raise InvalidConfigError("trig closed form holds for n >= 3")
-    num, den = _eval_ratio(build_definitional(n, P_FAMILY), math.cos(theta))
+    num, den = _eval_ratio(_p_row(n), math.cos(theta))
     # int true division rounds correctly, so this equals float(Fraction).
     return num / den + math.sin(theta) * math.sin((n - 1) * theta)
 

@@ -9,7 +9,12 @@ Two independent routes compute it:
   * f_closed: the alternating binomial sum (inclusion-exclusion on the
     set of missed blocks),
   * f_oracle: exhaustive enumeration of subsets (uint32 masks walked in
-    numpy chunks).
+    numpy chunks).  A subset whose extra block has size j <= m is exactly
+    a mask below 2^(n*p+j), so one walk of the n*p + m ground set counts
+    every extra-block size j <= m at once: each hitting mask is binned by
+    its bit length and popcount, and the counts for j sum the bins of bit
+    length up to n*p + j.  The tables live in one bounded slot per block
+    shape (n, p).
 
 Their agreement is the foundation everything else in the package is
 checked against.  The identity checkers below sweep the five published
@@ -21,6 +26,7 @@ printed form and the corrected form, because the printed one is wrong
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from math import comb
 
 import numpy as np
 
@@ -32,27 +38,40 @@ ENUMERATION_BOUND = 24
 _CHUNK = 1 << 14  # masks per numpy pass; 64 KiB arrays stay in cache
 
 
-def _kernel(n: int, p: int, m: int) -> list[int]:
-    """Counts c[s] of the s-subsets meeting all n size-p blocks.
+def _kernel(n: int, p: int, m: int) -> list[list[int]]:
+    """Count rows c[j][s] of the s-subsets meeting all n size-p blocks,
+    with an extra block of size j, for every j = 0..m.
 
     Walks every mask of the n*p + m ground set (blocks at bits
     0..n*p-1, the size-m block last), as the reference kernel in
-    _subsetcount_py does, one chunk of masks at a time.
+    _subsetcount_py does, one chunk of masks at a time, and tests every
+    mask against every block.  Hitting masks are binned by bit length
+    and popcount; a mask of bit length L lies in the ground set with
+    extra block j exactly when L <= n*p + j, so row j sums the bins of
+    bit length up to n*p + j.
     """
-    nground = n * p + m
-    if not 0 <= nground <= ENUMERATION_BOUND:
+    base = n * p
+    nground = base + m
+    if m < 0 or not 0 <= nground <= ENUMERATION_BOUND:
         raise ValueError("ground set out of kernel range")
     blocks = [np.uint32(((1 << p) - 1) << (b * p)) for b in range(n)]
-    counts = np.zeros(nground + 1, dtype=np.int64)
+    width = nground + 1
+    bins = np.zeros((width, width), dtype=np.int64)  # [bit length, popcount]
     total = 1 << nground
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
         hit = np.ones(masks.size, dtype=bool)
         for block in blocks:
             hit &= (masks & block) != 0
-        counts += np.bincount(np.bitwise_count(masks[hit]),
-                              minlength=nground + 1)
-    return counts.tolist()
+        masks = masks[hit]
+        sizes = np.bitwise_count(masks)
+        if start:  # an aligned chunk past the first: one bit length
+            bins[start.bit_length()] += np.bincount(sizes, minlength=width)
+        else:  # frexp's exponent of a mask is its bit length
+            bins += np.bincount(np.frexp(masks)[1] * width + sizes,
+                                minlength=bins.size).reshape(bins.shape)
+    rows = np.cumsum(bins, axis=0)[base:].tolist()
+    return [row[:base + j + 1] for j, row in enumerate(rows)]
 
 
 def _validate(n: int, m: int, p: int) -> None:
@@ -63,8 +82,8 @@ def _validate(n: int, m: int, p: int) -> None:
 def f_closed(n: int, k: int, m: int, p: int) -> int:
     """Closed-form count: sum_i (-1)^i C(n,i) C(np+m-ip, n+k).
 
-    Returns 0 automatically whenever n+k < 0 or n+k > np+m, since every
-    binomial in the sum vanishes there.
+    Returns 0 whenever n+k < 0 or n+k > np+m, where every binomial in
+    the sum vanishes, and stops the sum where C(np+m-ip, n+k) reaches 0.
     """
     _validate(n, m, p)
     return _f_closed_raw(n, k, m, p)
@@ -75,9 +94,14 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
+    top = n * p + m
+    if not 0 <= size <= top:
+        return 0
     total = 0
-    for i in range(n + 1):
-        total += (-1) ** i * binomial(n, i) * binomial(n * p + m - i * p, size)
+    # Past i = (top - size) // p, C(top - i*p, size) = 0.
+    for i in range(min(n, (top - size) // p) + 1):
+        term = comb(n, i) * comb(top - i * p, size)
+        total += -term if i % 2 else term
     return total
 
 
@@ -88,15 +112,43 @@ def f_oracle(n: int, k: int, m: int, p: int) -> int:
         raise GroundSetTooLargeError(
             f"ground set {n * p + m} exceeds enumeration bound {ENUMERATION_BOUND}")
     size = n + k
-    counts = _counts_cached(n, p, m)
+    counts = _count_table(n, p, m)[m]
     if size < 0 or size >= len(counts):
         return 0
     return counts[size]
 
 
-@lru_cache(maxsize=None)
-def _counts_cached(n: int, p: int, m: int) -> tuple[int, ...]:
-    return tuple(_kernel(n, p, m))
+# One slot per block shape (n, p) holds its longest table so far, since
+# the table to extra block m holds every smaller one exactly.  With no
+# blocks p does not matter, so n = 0 has one slot; n*p <= ENUMERATION_BOUND
+# then allows at most 1 + sum_{n>=1} floor(24 / n) = 85 slots.  Two threads
+# growing one slot at once may leave the shorter table there, which is
+# still exact.
+TABLE_SLOTS = 1 + sum(ENUMERATION_BOUND // n
+                      for n in range(1, ENUMERATION_BOUND + 1))
+
+
+@lru_cache(maxsize=TABLE_SLOTS)
+def _table_slot(n: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
+    return [()]
+
+
+def _count_table(n: int, p: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Kernel rows of the shape (n, p) for every extra block up to m or more."""
+    if not n:
+        p = 1
+    slot = _table_slot(n, p)
+    table = slot[0]
+    if len(table) <= m:
+        table = slot[0] = tuple(map(tuple, _kernel(n, p, m)))
+    return table
+
+
+def _shapes(max_ground: int, p_max: int):
+    """Every block shape (n, p) with n*p <= max_ground and 1 <= p <= p_max."""
+    for p in range(1, p_max + 1):
+        for n in range(max_ground // p + 1):
+            yield n, p
 
 
 def _configurations(max_ground: int, p_max: int):
@@ -105,11 +157,10 @@ def _configurations(max_ground: int, p_max: int):
     k covers every achievable subset size n + k in 0..n*p+m plus a margin
     of one size on both ends, where every count is 0.
     """
-    for p in range(1, p_max + 1):
-        for n in range(max_ground // p + 1):
-            for m in range(max_ground - n * p + 1):
-                for size in range(-1, n * p + m + 2):
-                    yield n, size - n, m, p
+    for n, p in _shapes(max_ground, p_max):
+        for m in range(max_ground - n * p + 1):
+            for size in range(-1, n * p + m + 2):
+                yield n, size - n, m, p
 
 
 def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
@@ -121,7 +172,9 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     is rejected before anything is enumerated.
 
     Each count is visited once, so the closed form is called uncached:
-    a sweep would fill _f_closed_raw with entries nothing reads.
+    a sweep would fill _f_closed_raw with entries nothing reads.  The
+    enumeration side walks each block shape once, at its largest extra
+    block max_ground - n*p, and reads every smaller one off that table.
     """
     if max_ground < 0 or p_max < 1:
         raise InvalidConfigError(
@@ -131,6 +184,8 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
         raise GroundSetTooLargeError(
             f"oracle sweep max_ground {max_ground} exceeds enumeration "
             f"bound {ENUMERATION_BOUND}")
+    for n, p in _shapes(max_ground, p_max):
+        _count_table(n, p, max_ground - n * p)
     closed_sum = _f_closed_raw.__wrapped__
     checked = 0
     failures = []

@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
@@ -55,6 +56,14 @@ class Family:
 
     def __str__(self) -> str:
         return f"(m={self.m}, p={self.p})"
+
+
+# One shared Family per (m, p) for the recurrences, whose terms move
+# through neighbouring families; int keys skip the dataclass hash and
+# validation per term.
+@lru_cache(maxsize=256)
+def _family(m: int, p: int) -> Family:
+    return Family(m, p)
 
 
 U_FAMILY = Family(0, 2)
@@ -426,7 +435,7 @@ def build_via_t_recurrence(n: int, family: Family, t: int,
     _check_variant(variant)
     result = IntPolynomial()
     for i in range(t + 1):
-        other = Family(family.m + t - i, family.p)
+        other = _family(family.m + t - i, family.p)
         term = build_definitional(n + 2 * t - i, other).shift(i)
         result = result + (-1) ** (t - i) * binomial(t, i) * term
     if variant == "corrected":
@@ -451,7 +460,7 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
     if (n - k) % 2:     # then every lookup and the deficit vanish
         return total
     for i in range(t + 1):
-        other = Family(family.m + t - i, family.p)
+        other = _family(family.m + t - i, family.p)
         c = _coeff_any(n + 2 * t - i, k - i, other)
         if c:
             term = comb(t, i) * c

@@ -6,16 +6,21 @@ agree with it by construction.  The numpy kernel is also compared with
 the pure-Python reference kernel, mask walk against mask walk.
 """
 
+import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
-from blockcheb import _subsetcount_py, blockcount
+from blockcheb import _subsetcount_py, blockcount, cli
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
+                                  TABLE_SLOTS, _configurations,
                                   _f_closed_raw, _kernel, check_identity,
                                   f_closed, f_oracle, sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
+
+ORACLE_DIGESTS = Path(__file__).parent / "data" / "golden" / "oracle_sha256.txt"
 
 
 def _independent_count(n: int, k: int, m: int, p: int) -> int:
@@ -89,17 +94,64 @@ def test_default_sweep_is_clean():
     assert failures == []
 
 
+def test_oracle_documents_match_golden_digests(capsys):
+    """oracle documents, byte for byte, as one kernel walk per
+    configuration wrote them."""
+    lines = ORACLE_DIGESTS.read_text(encoding="utf-8").splitlines()[1:]
+    assert len(lines) == 3
+    for line in lines:
+        max_ground, p_max, want = line.split()
+        argv = ["oracle"] if max_ground == "default" else \
+            ["oracle", "--max-ground", max_ground, "--p-max", p_max]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want, line
+
+
 def test_sweep_leaves_closed_form_cache_alone():
     _f_closed_raw.cache_clear()
     sweep_oracle_vs_closed(max_ground=8, p_max=3)
     assert _f_closed_raw.cache_info().currsize == 0
 
 
+def test_closed_form_equals_untruncated_sum():
+    # The literal inclusion-exclusion sum, every term, margins included.
+    def untruncated(n, k, m, p):
+        def c(a, b):
+            return math.comb(a, b) if 0 <= b <= a else 0
+        return sum((-1) ** i * c(n, i) * c(n * p + m - i * p, n + k)
+                   for i in range(n + 1))
+    closed = _f_closed_raw.__wrapped__
+    for n, k, m, p in _configurations(20, 6):
+        assert closed(n, k, m, p) == untruncated(n, k, m, p), (n, k, m, p)
+
+
+def test_count_tables_stay_bounded(monkeypatch):
+    walks = []
+
+    def counting_kernel(n, p, m):
+        walks.append((n, p, m))
+        return _kernel(n, p, m)
+    monkeypatch.setattr(blockcount, "_kernel", counting_kernel)
+    blockcount._table_slot.cache_clear()
+    for p in range(1, 40):
+        assert f_oracle(0, 1, 3, p) == 3
+    assert blockcount._table_slot.cache_info().currsize == 1
+    walks.clear()
+    sweep_oracle_vs_closed(max_ground=10, p_max=10)
+    shapes = {(n, p if n else 1) for p in range(1, 11)
+              for n in range(10 // p + 1)}
+    info = blockcount._table_slot.cache_info()
+    assert info.currsize == len(shapes) <= info.maxsize == TABLE_SLOTS == 85
+    # One walk per shape, at its largest extra block.
+    assert sorted(walks) == sorted((n, p, 10 - n * p) for n, p in shapes)
+
+
 def test_sweep_rejects_bound_before_enumerating(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("kernel called before the bound check")
     monkeypatch.setattr(blockcount, "_kernel", no_kernel)
-    blockcount._counts_cached.cache_clear()
+    blockcount._table_slot.cache_clear()
     with pytest.raises(GroundSetTooLargeError, match="max_ground 40"):
         sweep_oracle_vs_closed(max_ground=40)
     with pytest.raises(GroundSetTooLargeError):
@@ -168,18 +220,27 @@ def test_backend_is_declared():
 
 
 def test_numpy_and_reference_kernels_agree():
+    # Every row j <= m of one walk is a whole walk of the reference kernel.
     for p in (1, 2, 3):
         for n in range(0, 4):
             for m in range(0, 12 - n * p + 1):
-                assert _kernel(n, p, m) == \
-                    _subsetcount_py.count_intersecting_by_size(n, p, m)
+                rows = _kernel(n, p, m)
+                assert len(rows) == m + 1
+                for j, row in enumerate(rows):
+                    assert row == \
+                        _subsetcount_py.count_intersecting_by_size(n, p, j)
 
 
 def test_kernel_spans_several_chunks():
-    # 2^21 masks: 128 chunks of 2^14.
-    counts = _kernel(5, 3, 6)
-    assert len(counts) == 22
-    assert counts == [f_closed(5, s - 5, 6, 3) for s in range(22)]
+    # (5, 3, 6): 2^21 masks, 128 chunks of 2^14.  (8, 2, 3): n*p = 16
+    # exceeds the first chunk's 14 bits, so that chunk feeds only j = 0.
+    # Every row against the closed form.
+    for n, p, m in ((5, 3, 6), (8, 2, 3)):
+        rows = _kernel(n, p, m)
+        assert len(rows) == m + 1
+        for j, counts in enumerate(rows):
+            assert counts == [f_closed(n, s - n, j, p)
+                              for s in range(n * p + j + 1)]
 
 
 def test_kernel_rejects_ground_set_out_of_range():
