@@ -95,13 +95,19 @@ def cmd_eval(args) -> int:
         raise InvalidConfigError(f"evaluation point {args.x!r} must look "
                                  f"like 1, -1/2 or 0.25") from None
     value = evaluate(poly, x)
+    try:
+        decimal = float(value)
+    except OverflowError:
+        raise InvalidConfigError(f"the value of row {args.n} at x = {args.x} "
+                                 f"is too large for the decimal field") \
+            from None
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "evaluation",
         "m": family.m, "p": family.p, "n": args.n,
         "x": str(x),
         "exact": str(value),
-        "decimal": float(value),
+        "decimal": decimal,
     })
     return 0
 

@@ -22,7 +22,12 @@ alternative constructions (reduction to the m = 0 family, the p = 2
 three-term recurrence, and the t-fold recurrence) plus the published
 coefficient recurrences.  Where a published formula disagrees with the
 oracle-validated triangle, both the printed and the corrected variant
-are available and the disagreement is pinned in the tests.
+are available and the disagreement is pinned in the tests.  For the
+reduction, the t-fold recurrence and the coefficient recurrences the
+printed proofs read every coefficient past the triangle's left edge as
+0; the corrected variant is the same printed sum read through the
+virtual coefficient (_virtual_coeff), the signed count that is still
+nonzero there once p >= 3.
 """
 
 from __future__ import annotations
@@ -176,17 +181,31 @@ def coefficient(n: int, k: int, family: Family) -> int:
     return _coeff_any(n, k, family)
 
 
-def _coeff_any(n: int, k: int, family: Family) -> int:
-    # Total lookup: anything outside the triangle is 0, which is exactly
-    # what the published recurrences need for their boundary terms.
-    if n < family.m or k < 0 or k > n or (n - k) % 2:
-        return 0
-    a = (n + k - 2 * family.m) // 2
-    if a < 0:
+def _virtual_coeff(n: int, k: int, family: Family) -> int:
+    """The signed count behind c(n,k), total in the power index.
+
+    Inside the triangle (0 <= k <= n, n >= m) this equals coefficient(),
+    and right of it (k > n gives b < 0) or below its start (n < m gives
+    a < 0) it is 0.  Past the left edge, k < 0, the same expression
+    (-1)^((n-k)/2) f((n+k-2m)/2, (n-k)/2) can still be nonzero, because
+    f(a, b, m, p) survives up to b = a(p-1) + m.  The published proofs
+    read every out-of-triangle coefficient as 0, which loses exactly
+    this mass; it is nonzero only once p >= 3.  Each corrected variant
+    is its printed sum read through this lookup instead of _coeff_any.
+    """
+    if (n - k) % 2:
         return 0
     b = (n - k) // 2
+    a = b + k - family.m            # (n+k-2m)/2; a + b = n - m
+    if a < 0 or b < 0:
+        return 0
     val = f_closed(a, b, family.m, family.p)
     return -val if b % 2 else val
+
+
+def _coeff_any(n: int, k: int, family: Family) -> int:
+    # Total lookup, 0 outside the triangle, as the printed proofs read it.
+    return _virtual_coeff(n, k, family) if k >= 0 else 0
 
 
 class Triangle:
@@ -275,10 +294,15 @@ _triangles_lock = threading.Lock()
 
 
 def triangle(family: Family) -> Triangle:
-    with _triangles_lock:
-        if family not in _triangles:
-            _triangles[family] = Triangle(family)
-        return _triangles[family]
+    # Dict reads are atomic, so an existing triangle needs no lock; the
+    # lock only keeps two threads from creating the same one.
+    tri = _triangles.get(family)
+    if tri is None:
+        with _triangles_lock:
+            tri = _triangles.get(family)
+            if tri is None:
+                tri = _triangles[family] = Triangle(family)
+    return tri
 
 
 def build_definitional(n: int, family: Family) -> IntPolynomial:
@@ -286,31 +310,20 @@ def build_definitional(n: int, family: Family) -> IntPolynomial:
     return IntPolynomial(triangle(family).row(n))
 
 
-def _reduction_deficit(n: int, family: Family) -> IntPolynomial:
-    """Mass the reduction's window truncation drops at powers k < m.
+def _shifted_row(n: int, family: Family, s: int,
+                 variant: str) -> IntPolynomial:
+    """x^s times row n of the family, with its powers 0..s-1 filled in.
 
-    The published proof groups the block-count expansion into rows of
-    the (0, p) triangle under the claim that f(r, s, 0, p) vanishes
-    whenever s > r.  That is true only for p <= 2; in general the count
-    survives up to s = r(p-1), and the surviving terms land at powers
-    k < m - i.  Their signs all collapse to (-1)^b with b = (n-k)/2:
-
-        deficit_k = (-1)^b sum_{i=0}^{m-k-1} C(m,i) f(r, b-i, 0, p),
-        r = (n+k-2m)/2.
+    A printed proof shifts a row and reads what lands below x^s as 0.
+    The row's coefficients at powers k - s < 0 are virtual coefficients
+    (_virtual_coeff), and the "corrected" variant keeps them; for p <= 2
+    they all vanish and the variants coincide.
     """
-    m, p = family.m, family.p
-    coeffs = [0] * m
-    for k in range(m):
-        if (n - k) % 2:
-            continue
-        r = (n + k - 2 * m) // 2
-        if r < 0:
-            continue
-        b = (n - k) // 2
-        total = sum(binomial(m, i) * f_closed(r, b - i, 0, p)
-                    for i in range(m - k))
-        coeffs[k] = -total if b % 2 else total
-    return IntPolynomial(coeffs)
+    if variant == "corrected":
+        low = [_virtual_coeff(n, k - s, family) for k in range(s)]
+    else:
+        low = [0] * s
+    return IntPolynomial(low + list(triangle(family).row(n)))
 
 
 def build_by_reduction(n: int, family: Family,
@@ -322,12 +335,14 @@ def build_by_reduction(n: int, family: Family,
     For m <= n < 2m some indices n-m-i go negative; those terms are zero
     polynomials, which is harmless (no count mass exists there).  What
     is not harmless is the window truncation in the published proof:
-    for p >= 3 it discards nonzero counts at low powers, and already
-    x P(3,0,3) - P(2,0,3) = 27x^4 - 27x^2 + 3 misses the definitional
-    27x^4 - 27x^2 + 4.  The "printed" variant evaluates the sum
-    verbatim; the "corrected" variant restores the dropped mass (see
-    _reduction_deficit) and equals the definitional row everywhere.
-    For p <= 2 the two variants coincide.
+    it groups the count expansion into (0, p) rows on the claim that
+    f(r, s, 0, p) vanishes for s > r, true only for p <= 2, so for
+    p >= 3 it discards nonzero counts at powers below x^(m-i), and
+    already x P(3,0,3) - P(2,0,3) = 27x^4 - 27x^2 + 3 misses the
+    definitional 27x^4 - 27x^2 + 4.  The "printed" variant evaluates
+    the sum verbatim; the "corrected" variant reads each shifted row
+    through the virtual coefficient (_shifted_row) and equals the
+    definitional row everywhere.
     """
     _check_start(n, family)
     _check_variant(variant)
@@ -337,10 +352,8 @@ def build_by_reduction(n: int, family: Family,
         idx = n - family.m - i
         if idx < 0:
             continue
-        term = build_definitional(idx, base).shift(family.m - i)
+        term = _shifted_row(idx, base, family.m - i, variant)
         result = result + (-1) ** i * binomial(family.m, i) * term
-    if variant == "corrected":
-        result = result + _reduction_deficit(n, family)
     return result
 
 
@@ -385,35 +398,6 @@ def build_by_three_term(n: int, family: Family,
     return prev
 
 
-def _t_recurrence_deficit(n: int, k: int, family: Family, t: int) -> int:
-    """Count mass the t-fold coefficient translation drops at power k.
-
-    The translation replaces f(a, b+t, m+t-i, p) by the coefficient
-    c(n+2t-i, k-i, m+t-i, p).  For i > k the power index k-i is negative
-    and the coefficient is 0 by convention, yet the count it stands in
-    for is nonzero whenever i <= k + a(p-2).  For p <= 2 that window is
-    empty, which is why the translation is exact there; for p >= 3 the
-    lost mass at power k is
-
-        (-1)^b sum_{i=k+1}^t (-1)^i C(t,i) f(a, b+t, m+t-i, p)
-
-    with a = (n+k-2m)/2, b = (n-k)/2.  Powers n < k < t matter too: the
-    true coefficient there is 0, but the truncated sum can leave stray
-    mass behind, so b may be negative (only its parity is used).
-    """
-    if k < 0 or k >= t or (n - k) % 2:
-        return 0
-    a = (n + k - 2 * family.m) // 2
-    if a < 0:
-        return 0
-    b = (n - k) // 2
-    total = 0
-    for i in range(k + 1, t + 1):
-        term = comb(t, i) * f_closed(a, b + t, family.m + t - i, family.p)
-        total += -term if i % 2 else term
-    return -total if b % 2 else total
-
-
 def build_via_t_recurrence(n: int, family: Family, t: int,
                            variant: str = "corrected") -> IntPolynomial:
     """Row n via the t-fold recurrence into higher-m families:
@@ -421,13 +405,15 @@ def build_via_t_recurrence(n: int, family: Family, t: int,
         P(n,m,p) = sum_{i=0}^t (-1)^(t-i) C(t,i) x^i P(n+2t-i, m+t-i, p).
 
     The published claim is for every t >= 0 with no restriction on p,
-    but the coefficient translation behind it silently drops nonzero
-    count mass at powers k < t once p >= 3 (see _t_recurrence_deficit);
-    the printed form already fails at n=2, m=0, p=3, t=1, where it
+    but the coefficient translation behind it replaces the count
+    f(a, b+t, m+t-i, p) by c(n+2t-i, k-i, m+t-i, p) and reads it as 0
+    for i > k, where the power k-i is negative.  The count is nonzero
+    whenever i <= k + a(p-2), a window that is empty only for p <= 2,
+    so the printed form already fails at n=2, m=0, p=3, t=1, where it
     yields 9x^2 - 4 against the definitional 9x^2 - 3.  The "printed"
-    variant evaluates the sum verbatim; the "corrected" variant adds the
-    dropped mass back and equals the definitional row everywhere.  For
-    p <= 2 the two variants coincide.
+    variant evaluates the sum verbatim; the "corrected" variant reads
+    each shifted row through the virtual coefficient (_shifted_row) and
+    equals the definitional row everywhere.
     """
     if t < 0:
         raise InvalidConfigError("t must be nonnegative")
@@ -436,11 +422,8 @@ def build_via_t_recurrence(n: int, family: Family, t: int,
     result = IntPolynomial()
     for i in range(t + 1):
         other = _family(family.m + t - i, family.p)
-        term = build_definitional(n + 2 * t - i, other).shift(i)
+        term = _shifted_row(n + 2 * t - i, other, i, variant)
         result = result + (-1) ** (t - i) * binomial(t, i) * term
-    if variant == "corrected":
-        deficit = [_t_recurrence_deficit(n, k, family, t) for k in range(t)]
-        result = result + IntPolynomial(deficit)
     return result
 
 
@@ -450,23 +433,24 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
 
         c(n,k,m,p) = sum_{i=0}^t (-1)^(i+t) C(t,i) c(n+2t-i, k-i, m+t-i, p).
 
-    Printed variant verbatim; the corrected variant adds back the count
-    mass lost at k < t when p >= 3 (see _t_recurrence_deficit).
+    Printed variant verbatim, every lookup past the left edge read as 0;
+    the corrected variant reads those lookups through the virtual
+    coefficient, which restores the count mass lost at k < t when p >= 3
+    (see build_via_t_recurrence).  Both give 0 for k < 0.
     """
     if t < 0:
         raise InvalidConfigError("t must be nonnegative")
     _check_variant(variant)
+    # An odd n - k makes every lookup vanish; no coefficient sits at k < 0.
+    if k < 0 or (n - k) % 2:
+        return 0
+    lookup = _coeff_any if variant == "printed" else _virtual_coeff
     total = 0
-    if (n - k) % 2:     # then every lookup and the deficit vanish
-        return total
     for i in range(t + 1):
-        other = _family(family.m + t - i, family.p)
-        c = _coeff_any(n + 2 * t - i, k - i, other)
+        c = lookup(n + 2 * t - i, k - i, _family(family.m + t - i, family.p))
         if c:
             term = comb(t, i) * c
             total += -term if (i + t) % 2 else term
-    if variant == "corrected":
-        total += _t_recurrence_deficit(n, k, family, t)
     return total
 
 
@@ -491,25 +475,6 @@ def coeff_recurrence_e3(n: int, k: int, family: Family, variant: str) -> int:
         total += sign * (-1) ** (i - 1) * binomial(family.p, i) * \
             _coeff_any(n - i, k + i - 2, family)
     return total
-
-
-def _virtual_coeff(n: int, k: int, family: Family) -> int:
-    """The signed count behind c(n,k), total in the power index.
-
-    Inside the triangle (0 <= k <= n, n >= m) this equals coefficient().
-    Outside, the same expression (-1)^((n-k)/2) f((n+k-2m)/2, (n-k)/2)
-    can still be nonzero for k < 0 once the block size reaches 3, and
-    the repaired index translations need exactly that mass; treating it
-    as zero is what breaks the printed recurrences.
-    """
-    if n < 0 or (n - k) % 2:
-        return 0
-    a = (n + k - 2 * family.m) // 2
-    b = (n - k) // 2
-    if a < 0 or b < 0:
-        return 0
-    val = f_closed(a, b, family.m, family.p)
-    return -val if b % 2 else val
 
 
 def coeff_triple_sum(n: int, k: int, family: Family,

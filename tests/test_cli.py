@@ -238,6 +238,11 @@ def test_config_errors_exit_2(capsys):
     code, out, err = _run(capsys, "eval", "--n", "3", "--x=abc")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    # An exact value past the float range has no decimal field.
+    code, out, err = _run(capsys, "eval", "--n", "2", "--x", "1e400")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "too large" in err
     code, out, err = _run(capsys, "gram", "--range", "a..b")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1

@@ -6,12 +6,16 @@ independent reference.  The printed-variant witnesses pinned below are
 regression anchors: they must keep failing in exactly the recorded way.
 """
 
+import hashlib
 import os
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockcheb import polyfamily
 from blockcheb.blockcount import f_closed
 from blockcheb.errors import InvalidConfigError
 from blockcheb.exact import binomial
@@ -94,6 +98,35 @@ def test_triangle_is_shared_and_cached():
     assert triangle(Family(3, 3)).rows(2) == []
 
 
+def test_triangle_created_once_under_concurrent_lookups():
+    """Threads that ask for a new family at once all get the one Triangle
+    that stays registered; a lost creation race would hand some of them
+    an orphan whose rows the others never see."""
+    families = [Family(m, 40) for m in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fam in families:
+            barrier = threading.Barrier(8)
+            got = []
+
+            def look(fam=fam, barrier=barrier, got=got):
+                barrier.wait(timeout=10)
+                got.append(triangle(fam))
+            workers = [threading.Thread(target=look) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert len(got) == 8
+            assert all(tri is polyfamily._triangles[fam] for tri in got)
+    finally:
+        sys.setswitchinterval(interval)
+        for fam in families:
+            polyfamily._triangles.pop(fam, None)
+
+
 # Triangle rows come from generating-function columns; the tests below tie
 # them to routes that do not share that code.
 
@@ -174,10 +207,11 @@ def test_intpolynomial_algebra():
 # ------------------------------------------- corrected construction routes
 
 def test_all_routes_agree_small_sweep():
-    for p in (1, 2, 3, 4):
-        for m in range(0, 4):
+    # m >= 5 with p >= 3 spreads virtual mass over several shifted rows.
+    for p in (1, 2, 3, 4, 5):
+        for m in range(0, 7):
             fam = Family(m, p)
-            for n in range(m, 13):
+            for n in range(m, 17):
                 base = build_definitional(n, fam)
                 assert build_by_reduction(n, fam) == base
                 for t in range(0, 4):
@@ -259,6 +293,45 @@ def test_virtual_coefficient_extends_past_left_edge():
     # this single unit of mass is what the printed translations drop.
     assert _coeff_any(3, -1, fam) == 0
     assert _virtual_coeff(3, -1, fam) == 1
+
+
+def _route_outputs():
+    """Every printed and corrected output of the routes that read past
+    the triangle's edge, in the order tests/data/golden/routes_sha256.txt
+    hashes them (its header holds the command that wrote it)."""
+    grid = [(Family(m, p), n) for p in range(1, 6) for m in range(7)
+            for n in range(m, 19)]
+    variants = ("printed", "corrected")
+    return {
+        "build_by_reduction": [build_by_reduction(n, f, v)
+                               for f, n in grid for v in variants],
+        "build_via_t_recurrence": [build_via_t_recurrence(n, f, t, v)
+                                   for f, n in grid for t in range(4)
+                                   for v in variants],
+        "coeff_recurrence_e2": [coeff_recurrence_e2(n, k, f, t, v)
+                                for f, n in grid for k in range(-2, n + 3)
+                                for t in range(4) for v in variants],
+        "_coeff_any": [_coeff_any(n, k, Family(m, p)) for p in range(1, 6)
+                       for m in range(7) for n in range(19)
+                       for k in range(-3, n + 3)],
+    }
+
+
+def test_route_outputs_match_golden_digests():
+    """Every printed witness and every corrected output on the grid, byte
+    for byte against the recorded digests, not only those verify prints."""
+    with open(os.path.join(_DATA, "golden", "routes_sha256.txt"),
+              encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if not line.startswith("#")]
+    outputs = _route_outputs()
+    assert len(lines) == len(outputs)
+    for line in lines:
+        route, count, want = line.split()
+        out = outputs[route]
+        assert len(out) == int(count), line
+        digest = hashlib.sha256("\n".join(map(str, out)).encode()).hexdigest()
+        assert digest == want, line
 
 
 # --------------------------------------------------- coefficient recurrences
@@ -353,7 +426,8 @@ def _triple_sum_reference(n, k, family, variant):
 
 
 def _e2_reference(n, k, family, t, variant):
-    """coeff_recurrence_e2 as first written, deficit included."""
+    """coeff_recurrence_e2 as first written: the printed sum plus, for
+    the corrected variant, the hand-derived deficit sum below."""
     total = 0
     for i in range(t + 1):
         other = Family(family.m + t - i, family.p)
@@ -364,7 +438,15 @@ def _e2_reference(n, k, family, t, variant):
 
 
 def _deficit_reference(n, k, family, t):
-    """_t_recurrence_deficit as first written."""
+    """Count mass the printed t-fold translation drops at power k,
+    derived by hand from the count identity rather than through the
+    virtual coefficient, so it checks coeff_recurrence_e2 independently:
+
+        (-1)^b sum_{i=k+1}^t (-1)^i C(t,i) f(a, b+t, m+t-i, p)
+
+    with a = (n+k-2m)/2 and b = (n-k)/2.  For n < k < t the true
+    coefficient is 0 but the printed sum leaves stray mass, so b may be
+    negative (only its parity is used)."""
     if k < 0 or k >= t or (n - k) % 2:
         return 0
     a = (n + k - 2 * family.m) // 2

@@ -8,10 +8,14 @@ the mathematics or the checks changed, and both deserve a loud test.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import blockcheb
 from blockcheb import __version__, analysis, verify
 from blockcheb.errors import InvalidConfigError
 from blockcheb.polyfamily import IntPolynomial, T_FAMILY
@@ -58,6 +62,37 @@ def test_benchmark_status_copy_matches():
     # The benchmark judges verify reports against this copy of the map.
     copy = Path(__file__).parents[1] / "perfbench" / "verify_status.json"
     assert json.loads(copy.read_text(encoding="utf-8")) == EXPECTED_STATUS
+
+
+# Installs the benchmark's tracer, which wraps blockcheb functions by
+# name, then runs one traced document so the row hook reads Triangle._rows.
+_TRACED_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import blockcheb.cli
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = blockcheb.cli.main(["triangle", "--m", "2", "--p", "3",
+                               "--max-n", "6"])
+assert code == 0, code
+assert tracer.counters["polyfamily.row.rows"] == 5, tracer.counters
+assert tracer.stats["documents.build"][0] == 1, tracer.stats
+"""
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """A renamed or deleted function the benchmark's tracer wraps breaks
+    every traced benchmark operation; here it fails the tests instead."""
+    env = dict(os.environ)
+    package_root = str(Path(blockcheb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(perfbench)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")
