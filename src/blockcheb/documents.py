@@ -5,7 +5,8 @@ clears 64 bits by n = 32, and JSON consumers in other languages would
 silently round native numbers long before that.
 
 Formats:
-  json   - versioned structured document, the canonical round-trip form
+  json   - versioned structured document, the only format read back
+           (by the cache)
   csv    - one triangle row per line, n first, after a comment line
            carrying (m, p) and the generator version
   bfile  - OEIS b-file: "index value" pairs, 1-based contiguous index,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import InvalidConfigError
-from .polyfamily import Family, triangle
+from .polyfamily import Family, check_row, triangle
 
 SCHEMA_VERSION = 1
 
@@ -49,21 +50,9 @@ class TriangleDocument:
     oeis: tuple[str, ...]
     generator: str
 
-    @property
-    def family(self) -> Family:
-        return Family(self.m, self.p)
-
-    def row_ints(self, n: int) -> list[int]:
-        for rn, coeffs in self.rows:
-            if rn == n:
-                return [int(c) for c in coeffs]
-        raise KeyError(n)
-
 
 def build_document(family: Family, max_n: int) -> TriangleDocument:
-    if max_n < family.m:
-        raise InvalidConfigError(
-            f"max_n={max_n} precedes the first row n={family.m}")
+    check_row(max_n, family)
     rows = tuple((n, tuple(str(c) for c in row))
                  for n, row in enumerate(triangle(family).rows(max_n), family.m))
     return TriangleDocument(family.m, family.p, rows, tuple(oeis_refs(family)),
@@ -101,22 +90,6 @@ def to_csv(doc: TriangleDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_csv(text: str) -> TriangleDocument:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# blockcheb triangle"):
-        raise InvalidConfigError("missing triangle csv header comment")
-    header = lines[0][2:]
-    m = int(header.split("m=", 1)[1].split()[0])
-    p = int(header.split("p=", 1)[1].split()[0])
-    gen = header.split("generator=", 1)[1] if "generator=" in header else ""
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append((int(cells[0]), tuple(cells[1:])))
-    return TriangleDocument(m, p, tuple(rows),
-                            tuple(oeis_refs(Family(m, p))), gen)
-
-
 def to_bfile(doc: TriangleDocument) -> str:
     lines = []
     index = 1
@@ -125,33 +98,6 @@ def to_bfile(doc: TriangleDocument) -> str:
             lines.append(f"{index} {c}")
             index += 1
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def from_bfile(text: str, m: int, p: int) -> TriangleDocument:
-    """Rebuild a document from b-file lines.
-
-    The flat sequence alone does not carry (m, p); the row boundaries
-    follow from m since row n holds n + 1 coefficients.
-    """
-    values = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        idx, val = ln.split()
-        if int(idx) != len(values) + 1:
-            raise InvalidConfigError(f"b-file index gap at line {ln!r}")
-        values.append(val)
-    rows = []
-    n, pos = m, 0
-    while pos < len(values):
-        if pos + n + 1 > len(values):
-            raise InvalidConfigError("b-file ends mid-row")
-        rows.append((n, tuple(values[pos:pos + n + 1])))
-        pos += n + 1
-        n += 1
-    return TriangleDocument(m, p, tuple(rows), tuple(oeis_refs(Family(m, p))),
-                            f"blockcheb {__version__}")
 
 
 FORMATS = {"json": to_json, "csv": to_csv, "bfile": to_bfile}
@@ -215,6 +161,7 @@ class TriangleCache:
         return doc
 
     def document(self, family: Family, max_n: int) -> TriangleDocument:
+        check_row(max_n, family)  # as uncached, even where rows are stored
         path = self._path(family)
         with _lock_for(path):
             stored = self.load(family)

@@ -67,13 +67,6 @@ class Weight:
         return f"(1-x^2)^({self.half_exponent}/2)"
 
 
-def _rows(n: int, m: int, family: Family) -> tuple[IntPolynomial, IntPolynomial]:
-    if n < family.m or m < family.m:
-        raise InvalidConfigError(
-            f"rows {n}, {m} must be >= the family start {family.m}")
-    return build_definitional(n, family), build_definitional(m, family)
-
-
 def beta_moments(weight: Weight, count: int) -> list[Fraction]:
     """M_0, M_2, ..., M_(2 count - 2), where M_2j = integral of
     x^(2j) (1 - x^2)^(q/2) over [-1, 1], in units of pi for odd q.
@@ -124,7 +117,7 @@ def _moment_slot(q: int) -> list[tuple[tuple[int, ...], int]]:
 
 def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
     """Even-index coefficients of P_n P_m against the Beta moments."""
-    pn, pm = _rows(n, m, family)
+    pn, pm = build_definitional(n, family), build_definitional(m, family)
     even = (pn * pm).coeffs[::2]
     slot = _moment_slot(weight.half_exponent)
     numerators, denominator = slot[0]
@@ -185,7 +178,7 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
-    pn, pm = _rows(n, m, family)
+    pn, pm = build_definitional(n, family), build_definitional(m, family)
     count = quadrature_nodes(n, m, weight)
     q = weight.half_exponent
     if q % 2:
@@ -265,7 +258,8 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
                 with_numeric: bool = True) -> GramMatrix:
     """Symmetric Gram matrix of rows lo..hi under the given weight."""
     lo, hi = n_range
-    if lo > hi or lo < family.m:
+    check_row(lo, family)
+    if lo > hi:
         raise InvalidConfigError(f"bad row range {lo}..{hi} for family {family}")
     check_row(hi, family)
     if hi > MAX_GRAM_ROW:

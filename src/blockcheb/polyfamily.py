@@ -288,20 +288,22 @@ def check_row(n: int, family: Family) -> None:
 
 # Unbounded on purpose: it grows only with the families a process asks
 # for.  A CLI document asks for one, a full verify run registers 34, and
-# check_row caps each Triangle at MAX_ROW rows.
-_triangles: dict[Family, Triangle] = {}
+# check_row caps each Triangle at MAX_ROW rows.  Keyed by (m, p): a tuple
+# of ints hashes in C, where a Family would run its dataclass __hash__.
+_triangles: dict[tuple[int, int], Triangle] = {}
 _triangles_lock = threading.Lock()
 
 
 def triangle(family: Family) -> Triangle:
     # Dict reads are atomic, so an existing triangle needs no lock; the
     # lock only keeps two threads from creating the same one.
-    tri = _triangles.get(family)
+    key = family.m, family.p
+    tri = _triangles.get(key)
     if tri is None:
         with _triangles_lock:
-            tri = _triangles.get(family)
+            tri = _triangles.get(key)
             if tri is None:
-                tri = _triangles[family] = Triangle(family)
+                tri = _triangles[key] = Triangle(family)
     return tri
 
 

@@ -255,6 +255,13 @@ def test_config_errors_exit_2(capsys):
                           "--no-numeric")
     assert (code, out) == (2, "")
     assert err == f"error: gram row {past_gram} above the Gram limit {MAX_GRAM_ROW}\n"
+    # Rows before the family start (m = 3).
+    for argv in (("triangle", "--m", "3", "--max-n", "2"),
+                 ("export", "--m", "3", "--max-n", "2"),
+                 ("gram", "--m", "3", "--range", "1..5")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1
     for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0")):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -28,6 +28,7 @@ from blockcheb.polyfamily import (MAX_ROW, Family, IntPolynomial, P_FAMILY,
                                   coeff_recurrence_e2, coeff_recurrence_e3,
                                   coeff_triple_sum, coefficient, triangle,
                                   _coeff_any, _virtual_coeff)
+from regen_golden import route_outputs
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -120,11 +121,12 @@ def test_triangle_created_once_under_concurrent_lookups():
                 w.join(timeout=10)
             assert not any(w.is_alive() for w in workers)
             assert len(got) == 8
-            assert all(tri is polyfamily._triangles[fam] for tri in got)
+            assert all(tri is polyfamily._triangles[fam.m, fam.p]
+                       for tri in got)
     finally:
         sys.setswitchinterval(interval)
         for fam in families:
-            polyfamily._triangles.pop(fam, None)
+            polyfamily._triangles.pop((fam.m, fam.p), None)
 
 
 # Triangle rows come from generating-function columns; the tests below tie
@@ -295,28 +297,6 @@ def test_virtual_coefficient_extends_past_left_edge():
     assert _virtual_coeff(3, -1, fam) == 1
 
 
-def _route_outputs():
-    """Every printed and corrected output of the routes that read past
-    the triangle's edge, in the order tests/data/golden/routes_sha256.txt
-    hashes them (its header holds the command that wrote it)."""
-    grid = [(Family(m, p), n) for p in range(1, 6) for m in range(7)
-            for n in range(m, 19)]
-    variants = ("printed", "corrected")
-    return {
-        "build_by_reduction": [build_by_reduction(n, f, v)
-                               for f, n in grid for v in variants],
-        "build_via_t_recurrence": [build_via_t_recurrence(n, f, t, v)
-                                   for f, n in grid for t in range(4)
-                                   for v in variants],
-        "coeff_recurrence_e2": [coeff_recurrence_e2(n, k, f, t, v)
-                                for f, n in grid for k in range(-2, n + 3)
-                                for t in range(4) for v in variants],
-        "_coeff_any": [_coeff_any(n, k, Family(m, p)) for p in range(1, 6)
-                       for m in range(7) for n in range(19)
-                       for k in range(-3, n + 3)],
-    }
-
-
 def test_route_outputs_match_golden_digests():
     """Every printed witness and every corrected output on the grid, byte
     for byte against the recorded digests, not only those verify prints."""
@@ -324,7 +304,7 @@ def test_route_outputs_match_golden_digests():
               encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines()
                  if not line.startswith("#")]
-    outputs = _route_outputs()
+    outputs = route_outputs()
     assert len(lines) == len(outputs)
     for line in lines:
         route, count, want = line.split()

@@ -145,9 +145,8 @@ def test_report_matches_golden(full_report):
     """The full report is byte-identical to tests/data/golden/verify.json.
 
     A change that alters these bytes on purpose regenerates the file with
-    `PYTHONPATH=src python -m blockcheb.cli verify >
-    tests/data/golden/verify.json` and explains the difference in
-    CHANGES.md.
+    `PYTHONPATH=src python tests/regen_golden.py` and explains the
+    difference in CHANGES.md.
     """
     assert full_report.to_json() == GOLDEN_VERIFY.read_text(encoding="utf-8")
 
