@@ -4,15 +4,17 @@ The degree-n row P_n of the (2, 2) family satisfies, for n >= 3,
 
     P_n(cos t) = -sin t * sin((n-1) t),
 
-which gives closed-form zeros {-1, 1} and cos(k pi / (n-1)), the bound
+that is, P_n = (x^2 - 1) U_(n-2) as integer polynomials.  It gives
+closed-form zeros {-1, 1} and cos(k pi / (n-1)), the bound
 P_n(x)^2 + x^2 <= 1 on [-1, 1], and a monic sup norm within a factor two
 of the Chebyshev minimum.  The bound is proved exactly, as an integer
 polynomial identity that follows from the Pell identity for Chebyshev
-T and U (see bound_check).  Real roots have one route, isolated exactly
-by Sturm sequences over the integers (see numeric_zeros): the zeros are
-checked against them, and the extrema are the roots of P_n', certified
-complete by their count (see extrema), with the sup norm evaluated
-exactly at them.
+T and U (see bound_check).  Real roots of any row are isolated exactly
+by Sturm sequences over the integers (see numeric_zeros), and the
+closed-form zeros are checked against them.  The extrema are the roots
+of P_n', one between each pair of consecutive zeros by Rolle's theorem:
+exact signs at the zeros certify the brackets, and exact Newton refines
+each root (see extrema).  The sup norm is evaluated exactly at them.
 
 Floating Horner is useless at the tolerances involved (coefficient sums
 reach 1e7 by degree 25, so plain double evaluation carries ~1e-9 noise).
@@ -225,8 +227,8 @@ def _real_roots(p: IntPolynomial) -> dict[float, int]:
 
 
 # Sturm isolation of a (2, 2) row takes 2-3 s at degree 200 and extrema
-# at n = 200 about 3.4 s (CLI); the cost grows faster than the square of
-# the degree, and the row limit alone would admit degree 1000.
+# at n = 200 about 0.9 s (CLI); the Sturm cost grows faster than the
+# square of the degree, and the row limit alone would admit degree 1000.
 MAX_ROOT_DEGREE = 200
 
 
@@ -251,22 +253,70 @@ def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
     return RootSet(None, family, xs, ks)
 
 
+def _newton_exact(dp: IntPolynomial, ddp: IntPolynomial, lo: float,
+                  hi: float, slo: int) -> float:
+    """The one root of dp in (lo, hi), where dp has the exact sign slo at
+    lo and -slo at hi, to float resolution.
+
+    Safeguarded Newton from cos of the theta-midpoint: the exact sign of
+    dp at each iterate shrinks the bracket, a step that fails or leaves
+    the bracket falls back to its midpoint, and a step that rounds to no
+    move goes one float toward the root.  A root that is a float is
+    returned exactly; otherwise the bracket closes on the two floats
+    around the root and the result is 0.5 * (lo + hi), the float
+    _bisect_exact returns for the same root.
+    """
+    x = math.cos(0.5 * (math.acos(lo) + math.acos(hi)))
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x
+        num, den = _eval_ratio(dp, x)
+        if not num:
+            return x
+        if (num > 0) == (slo > 0):
+            lo, toward = x, hi
+        else:
+            hi, toward = x, lo
+        dnum, dden = _eval_ratio(ddp, x)
+        try:
+            newton = x - num * dden / (den * dnum)
+        except (ZeroDivisionError, OverflowError):
+            newton = math.nan
+        x = math.nextafter(x, toward) if newton == x else newton
+
+
 def extrema(n: int) -> list[tuple[float, float]]:
     """Extreme points of P_n on [-1, 1] as (theta, x = cos theta) pairs.
 
     The endpoints theta = 0, pi are always extreme points; the interior
-    ones are the real roots of P_n', isolated exactly by numeric_zeros.
-    P_n' has degree n - 1, so exactly n - 1 distinct roots, all inside
-    (-1, 1), certify that every critical point was found; any other root
-    set raises ConvergenceError.  The points run by theta = acos(x).
+    ones are the roots of P_n', which Rolle's theorem places between
+    consecutive closed-form zeros of P_n.  The exact sign of P_n' at the
+    n zeros must change strictly across each of the n - 1 brackets: that
+    accounts for all n - 1 roots of the degree-(n - 1) polynomial, one
+    per bracket, so every critical point is found.  A bracket without a
+    sign change, or a zero set that is not n ascending points of
+    [-1, 1], raises ConvergenceError.  Each root is refined by
+    _newton_exact; the points run by theta = acos(x).
     """
     if n < 3:
         raise InvalidConfigError("extrema characterized for n >= 3")
-    rs = numeric_zeros(build_definitional(n, P_FAMILY).derivative())
-    if len(rs.roots) != n - 1 or not all(-1.0 < x < 1.0 for x in rs.roots):
-        raise ConvergenceError(f"expected {n - 1} distinct critical points "
-                               f"in (-1, 1), found {list(rs.roots)}")
-    interior = [(math.acos(x), x) for x in reversed(rs.roots)]
+    if n - 1 > MAX_ROOT_DEGREE:
+        raise InvalidConfigError(f"degree {n - 1} above the root-finding "
+                                 f"limit {MAX_ROOT_DEGREE}")
+    dp = build_definitional(n, P_FAMILY).derivative()
+    ddp = dp.derivative()
+    zs = closed_form_zeros(n).roots
+    signs = [_exact_sign(dp, z) for z in zs]
+    brackets = list(zip(zs, zs[1:], signs, signs[1:]))
+    if len(zs) != n or not all(-1.0 <= lo < hi <= 1.0 and slo * shi < 0
+                               for lo, hi, slo, shi in brackets):
+        raise ConvergenceError(f"P_n' does not change sign between each "
+                               f"pair of the {n} zeros {list(zs)}")
+    roots = [_newton_exact(dp, ddp, lo, hi, slo)
+             for lo, hi, slo, _ in brackets]
+    interior = [(math.acos(x), x) for x in reversed(roots)]
     return [(0.0, 1.0)] + interior + [(math.pi, -1.0)]
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
-from .blockcount import f_closed
+from .blockcount import _f_closed_raw
 from .errors import InvalidConfigError
 from .exact import binomial
 
@@ -199,7 +199,9 @@ def _virtual_coeff(n: int, k: int, family: Family) -> int:
     a = b + k - family.m            # (n+k-2m)/2; a + b = n - m
     if a < 0 or b < 0:
         return 0
-    val = f_closed(a, b, family.m, family.p)
+    # a, b >= 0 and a Family's m, p are valid: f_closed's checks would
+    # only repeat them.
+    val = _f_closed_raw(a, b, family.m, family.p)
     return -val if b % 2 else val
 
 
@@ -249,8 +251,7 @@ class Triangle:
         return self._rows[idx]
 
     def rows(self, max_n: int) -> list[tuple[int, ...]]:
-        if max_n < self.family.m:
-            return []
+        """Rows m..max_n; a max_n that row() rejects raises the same way."""
         self.row(max_n)
         return self._rows[:max_n - self.family.m + 1]
 

@@ -37,9 +37,9 @@ from functools import partial
 from itertools import product
 
 from . import __version__
-from .analysis import (bound_check, closed_form_zeros,
+from .analysis import (MAX_ROOT_DEGREE, bound_check, closed_form_zeros,
                        evaluate_exact_at_float, extrema, monic_sup_norm,
-                       numeric_zeros, trig_form_residual)
+                       numeric_zeros)
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
 from .errors import InvalidConfigError
 from .exact import PiRational, binomial
@@ -280,11 +280,25 @@ def check_t_recurrence_printed() -> CheckResult:
 # ------------------------------------------------------------------ trig
 
 def check_trig_residual() -> CheckResult:
-    thetas = [math.pi * (j + 0.5) / 1000 for j in range(1000)]
-    return _worst("trig-closed-form-residual", "3<=n<=25, 1000 theta points",
-                  ((n, theta) for n in range(3, 26) for theta in thetas),
-                  trig_form_residual, 1e-12, ("n", "theta", "residual"),
-                  "max |P_n(cos t) + sin t sin((n-1)t)|")
+    """P_n = (x^2 - 1) U_(n-2) as integer polynomials for 3 <= n <= the
+    root-finding limit, every row whose closed-form zeros extrema uses.
+
+    Since sin((n-1) t) = sin t U_(n-2)(cos t), the identity is the closed
+    form P_n(cos t) = -sin t sin((n-1) t) at every t.  U comes from its
+    own recurrence, not from the (0, 2) triangle.
+    """
+    us = [IntPolynomial((1,)), IntPolynomial((0, 2))]
+    while len(us) < MAX_ROOT_DEGREE - 1:
+        us.append(us[-1].shift(1) * 2 - us[-2])
+    return _compare("trig-closed-form-residual",
+                    f"3<=n<={MAX_ROOT_DEGREE}, exact identity",
+                    ((n,) for n in range(3, MAX_ROOT_DEGREE + 1)),
+                    lambda n: build_definitional(n, P_FAMILY),
+                    lambda n: us[n - 2].shift(2) - us[n - 2],
+                    ("n",), ("row", "(x^2-1)U_(n-2)"),
+                    "{count} rows equal (x^2-1) U_(n-2), U_k = 2x U_(k-1) "
+                    "- U_(k-2), so P_n(cos t) = -sin t sin((n-1)t) for "
+                    "every t")
 
 
 # ----------------------------------------------------------------- zeros

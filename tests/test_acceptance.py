@@ -106,10 +106,9 @@ def test_criterion_04_construction_equality():
 
 def test_criterion_05_trig_closed_form():
     check = check_trig_residual()
-    worst = check.witnesses[0]["residual"]
     _criterion(5, check.status == "pass",
-               f"max |P_n(cos t) + sin t sin((n-1)t)| = {worst} <= 1e-12 "
-               f"over 3<=n<=25, 1000 theta points")
+               "P_n = (x^2-1) U_(n-2) as integer polynomials over "
+               "3<=n<=200, so P_n(cos t) = -sin t sin((n-1)t) for every t")
 
 
 def test_criterion_06_closed_form_zeros():

@@ -280,18 +280,28 @@ def test_extrema_satisfy_tangent_equation(extrema_to_60):
             assert abs(residual) <= (n - 1) * 1e-12, (n, theta)
 
 
+def test_extrema_match_sturm_isolation(extrema_to_60):
+    # Rolle brackets and exact Newton against the Sturm route, which
+    # knows nothing of the closed-form zeros: float for float.
+    for n in range(3, 31):
+        sturm = numeric_zeros(build_definitional(n, P_FAMILY).derivative())
+        interior = [x for _, x in extrema_to_60[n][1:-1]]
+        assert interior == list(reversed(sturm.roots)), n
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda xs: xs[1:],
     lambda xs: (1.5,) + xs[1:],
-], ids=["root-dropped", "root-outside"])
+    lambda xs: xs[:2] + (xs[3] - 1e-9,) + xs[3:],
+], ids=["root-dropped", "root-outside", "no-sign-change"])
 def test_extrema_certificate_rejects_wrong_root_sets(monkeypatch, corrupt):
-    sturm = analysis.numeric_zeros
+    closed = analysis.closed_form_zeros
 
-    def corrupted(poly, family=None):
-        rs = sturm(poly, family)
+    def corrupted(n):
+        rs = closed(n)
         return dataclasses.replace(rs, roots=corrupt(rs.roots))
 
-    monkeypatch.setattr(analysis, "numeric_zeros", corrupted)
+    monkeypatch.setattr(analysis, "closed_form_zeros", corrupted)
     with pytest.raises(ConvergenceError):
         extrema(7)
 

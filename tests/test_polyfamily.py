@@ -96,7 +96,8 @@ def test_triangle_is_shared_and_cached():
     assert triangle(P_FAMILY) is triangle(Family(2, 2))
     rows = triangle(Family(3, 3)).rows(6)
     assert [len(r) for r in rows] == [4, 5, 6, 7]
-    assert triangle(Family(3, 3)).rows(2) == []
+    with pytest.raises(InvalidConfigError):
+        triangle(Family(3, 3)).rows(2)
 
 
 def test_triangle_created_once_under_concurrent_lookups():

@@ -18,7 +18,7 @@ import pytest
 import blockcheb
 from blockcheb import __version__, analysis, verify
 from blockcheb.errors import InvalidConfigError
-from blockcheb.polyfamily import IntPolynomial, T_FAMILY
+from blockcheb.polyfamily import IntPolynomial, P_FAMILY, T_FAMILY
 from blockcheb.verify import (ERRATUM_CHECK_IDS, SUITES, VerifyReport,
                               run_suite)
 
@@ -221,3 +221,18 @@ def test_bound_unit_circle_fails_on_a_corrupted_row(monkeypatch):
     check = verify.check_bound_unit_circle()
     assert check.status == "fail"
     assert check.witnesses == ({"n": "31", "max P^2+x^2": "inf"},)
+
+
+def test_trig_identity_fails_on_a_corrupted_row(monkeypatch):
+    build = verify.build_definitional
+
+    def corrupt_p17(n, family):
+        row = build(n, family)
+        return row + IntPolynomial((0, 1)) if (n, family) == (17, P_FAMILY) \
+            else row
+    monkeypatch.setattr(verify, "build_definitional", corrupt_p17)
+    check = verify.check_trig_residual()
+    assert check.status == "fail"
+    assert [w["n"] for w in check.witnesses] == ["17"]
+    assert check.witnesses[0]["row"] == \
+        str(build(17, P_FAMILY) + IntPolynomial((0, 1)))
