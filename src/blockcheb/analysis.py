@@ -13,8 +13,9 @@ T and U (see bound_check).  Real roots of any row are isolated exactly
 by Sturm sequences over the integers (see numeric_zeros), and the
 closed-form zeros are checked against them.  The extrema are the roots
 of P_n', one between each pair of consecutive zeros by Rolle's theorem:
-exact signs at the zeros certify the brackets, and exact Newton refines
-each root (see extrema).  The sup norm is evaluated exactly at them.
+exact signs at the zeros certify the brackets (see extrema).  Both
+routes refine each bracketed root by one exact safeguarded Newton
+(see _refine).  The sup norm is evaluated exactly at the extrema.
 
 Floating Horner is useless at the tolerances involved (coefficient sums
 reach 1e7 by degree 25, so plain double evaluation carries ~1e-9 noise).
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConvergenceError, InvalidConfigError
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
@@ -83,12 +83,6 @@ def _exact_sign(poly: IntPolynomial, x: float) -> int:
     return (num > 0) - (num < 0)
 
 
-# A residual sweep evaluates one row at many theta; a few rows suffice.
-@lru_cache(maxsize=32)
-def _p_row(n: int) -> IntPolynomial:
-    return build_definitional(n, P_FAMILY)
-
-
 def trig_form_residual(n: int, theta: float) -> float:
     """P_n(cos theta) + sin(theta) sin((n-1) theta), zero for n >= 3.
 
@@ -98,17 +92,15 @@ def trig_form_residual(n: int, theta: float) -> float:
     """
     if n < 3:
         raise InvalidConfigError("trig closed form holds for n >= 3")
-    num, den = _eval_ratio(_p_row(n), math.cos(theta))
+    num, den = _eval_ratio(build_definitional(n, P_FAMILY), math.cos(theta))
     # int true division rounds correctly, so this equals float(Fraction).
     return num / den + math.sin(theta) * math.sin((n - 1) * theta)
 
 
 @dataclass(frozen=True)
 class RootSet:
-    """Real roots with multiplicities, ascending; n/family when known."""
+    """Real roots with multiplicities, ascending."""
 
-    n: int | None
-    family: Family | None
     roots: tuple[float, ...]
     multiplicities: tuple[int, ...]
 
@@ -134,23 +126,7 @@ def closed_form_zeros(n: int) -> RootSet:
         else:
             xs.append(-math.cos((n - 1 - k) * math.pi / (n - 1)))
     xs.sort()
-    return RootSet(n, P_FAMILY, tuple(xs), (1,) * n)
-
-
-def _bisect_exact(poly: IntPolynomial, lo: float, hi: float) -> float:
-    """Shrink (lo, hi] around one simple root of poly to float resolution.
-
-    The reference sign is read at hi, because lo may be a neighbouring root.
-    """
-    shi = smid = _exact_sign(poly, hi)
-    mid = hi
-    while smid:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        smid = _exact_sign(poly, mid)
-        lo, hi = (lo, mid) if smid == shi else (mid, hi)
-    return mid
+    return RootSet(tuple(xs), (1,) * n)
 
 
 def _primitive(poly: IntPolynomial) -> IntPolynomial:
@@ -185,20 +161,57 @@ def _sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
+def _refine(f: IntPolynomial, df: IntPolynomial, lo: float, hi: float,
+            slo: int) -> float:
+    """The one simple root of f in (lo, hi), to float resolution, where f
+    has the exact sign slo just right of lo and -slo at hi.
+
+    Safeguarded Newton (rtsafe) from the bracket midpoint, with f and f'
+    evaluated exactly: the sign of f at each iterate shrinks the bracket,
+    a step that fails or leaves the bracket falls back to its midpoint,
+    and a step that rounds to no move goes one float toward the root.  A
+    root that is a float is returned exactly; otherwise the bracket
+    closes on the two floats around the root and the result is
+    0.5 * (lo + hi), whichever path led there.  f is never evaluated at
+    lo, which may be a neighbouring root.
+    """
+    x = 0.5 * (lo + hi)
+    while True:
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x
+        num, den = _eval_ratio(f, x)
+        if not num:
+            return x
+        if (num > 0) == (slo > 0):
+            lo, toward = x, hi
+        else:
+            hi, toward = x, lo
+        dnum, dden = _eval_ratio(df, x)
+        try:
+            newton = x - num * dden / (den * dnum)
+        except (ZeroDivisionError, OverflowError):
+            newton = math.nan
+        x = math.nextafter(x, toward) if newton == x else newton
+
+
 def _real_roots(p: IntPolynomial) -> dict[float, int]:
     """Real roots of p (degree >= 1) with their multiplicities.
 
     Sturm's theorem on the square-free part q = p / gcd(p, p'): with V(x)
     the sign variations of q's chain at x, exactly V(lo) - V(hi) roots of
     q lie in (lo, hi].  Halving dyadic intervals from the power-of-two
-    Cauchy bound isolates each root, and exact bisection takes it to float
-    resolution.  A root's multiplicity is one more than in the gcd.
+    Cauchy bound isolates each root, and _refine takes it to float
+    resolution, with the sign read at hi since lo may be a neighbouring
+    root.  A root's multiplicity is one more than in the gcd.
     """
     chain = _sturm_chain(p)
     g, q = chain[-1], p
     if g.degree > 0:
         q = _divide(p, g)[0]
         chain = _sturm_chain(q)
+    dq = q.derivative()
     k = (max(map(abs, q.coeffs[:-1])) // abs(q.coeffs[-1]) + 2).bit_length()
     if k > 1023:
         raise ConvergenceError(f"root bound 2^{k} is beyond float range")
@@ -214,7 +227,8 @@ def _real_roots(p: IntPolynomial) -> dict[float, int]:
         lo, hi, vlo, vhi = todo.pop()
         mid = 0.5 * (lo + hi)
         if vlo - vhi == 1:
-            roots[_bisect_exact(q, lo, hi)] = 1
+            shi = _exact_sign(q, hi)
+            roots[_refine(q, dq, lo, hi, -shi) if shi else hi] = 1
         elif vlo > vhi and lo < mid < hi:
             vmid = variations(mid)
             todo += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
@@ -250,41 +264,7 @@ def numeric_zeros(poly: IntPolynomial, family: Family | None = None) -> RootSet:
     if family == P_FAMILY and sum(ks) != poly.degree:
         raise ConvergenceError(
             f"found {sum(ks)} of {poly.degree} roots: {list(xs)}")
-    return RootSet(None, family, xs, ks)
-
-
-def _newton_exact(dp: IntPolynomial, ddp: IntPolynomial, lo: float,
-                  hi: float, slo: int) -> float:
-    """The one root of dp in (lo, hi), where dp has the exact sign slo at
-    lo and -slo at hi, to float resolution.
-
-    Safeguarded Newton from cos of the theta-midpoint: the exact sign of
-    dp at each iterate shrinks the bracket, a step that fails or leaves
-    the bracket falls back to its midpoint, and a step that rounds to no
-    move goes one float toward the root.  A root that is a float is
-    returned exactly; otherwise the bracket closes on the two floats
-    around the root and the result is 0.5 * (lo + hi), the float
-    _bisect_exact returns for the same root.
-    """
-    x = math.cos(0.5 * (math.acos(lo) + math.acos(hi)))
-    while True:
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                return x
-        num, den = _eval_ratio(dp, x)
-        if not num:
-            return x
-        if (num > 0) == (slo > 0):
-            lo, toward = x, hi
-        else:
-            hi, toward = x, lo
-        dnum, dden = _eval_ratio(ddp, x)
-        try:
-            newton = x - num * dden / (den * dnum)
-        except (ZeroDivisionError, OverflowError):
-            newton = math.nan
-        x = math.nextafter(x, toward) if newton == x else newton
+    return RootSet(xs, ks)
 
 
 def extrema(n: int) -> list[tuple[float, float]]:
@@ -297,8 +277,8 @@ def extrema(n: int) -> list[tuple[float, float]]:
     accounts for all n - 1 roots of the degree-(n - 1) polynomial, one
     per bracket, so every critical point is found.  A bracket without a
     sign change, or a zero set that is not n ascending points of
-    [-1, 1], raises ConvergenceError.  Each root is refined by
-    _newton_exact; the points run by theta = acos(x).
+    [-1, 1], raises ConvergenceError.  Each root is refined by _refine,
+    as the Sturm route refines its roots; the points run by theta = acos(x).
     """
     if n < 3:
         raise InvalidConfigError("extrema characterized for n >= 3")
@@ -314,8 +294,7 @@ def extrema(n: int) -> list[tuple[float, float]]:
                                for lo, hi, slo, shi in brackets):
         raise ConvergenceError(f"P_n' does not change sign between each "
                                f"pair of the {n} zeros {list(zs)}")
-    roots = [_newton_exact(dp, ddp, lo, hi, slo)
-             for lo, hi, slo, _ in brackets]
+    roots = [_refine(dp, ddp, lo, hi, slo) for lo, hi, slo, _ in brackets]
     interior = [(math.acos(x), x) for x in reversed(roots)]
     return [(0.0, 1.0)] + interior + [(math.pi, -1.0)]
 

@@ -195,8 +195,6 @@ def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> flo
 class GramEntry:
     n: int
     m: int
-    family: Family
-    weight: Weight
     exact: PiRational
     numeric: float | None
 
@@ -215,19 +213,16 @@ class BandPattern:
     frequent one with the outliers listed in deviations.
     """
 
-    offset: int
     uniform: bool
     value: PiRational
     deviations: tuple[tuple[int, int, PiRational], ...]
 
 
 class GramMatrix:
-    def __init__(self, lo: int, hi: int, family: Family, weight: Weight,
+    def __init__(self, lo: int, hi: int,
                  entries: dict[tuple[int, int], GramEntry]):
         self.lo = lo
         self.hi = hi
-        self.family = family
-        self.weight = weight
         self._entries = entries
 
     def entry(self, n: int, m: int) -> GramEntry:
@@ -250,7 +245,7 @@ class GramMatrix:
                 if c > best:
                     modal, best = v, c
             deviations = tuple((n, m, v) for n, m, v in cells if v != modal)
-            report[offset] = BandPattern(offset, not deviations, modal, deviations)
+            report[offset] = BandPattern(not deviations, modal, deviations)
         return report
 
 
@@ -271,8 +266,8 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
             exact = inner_product_exact(n, m, family, weight)
             numeric = inner_product_numeric(n, m, family, weight) \
                 if with_numeric else None
-            entries[(n, m)] = GramEntry(n, m, family, weight, exact, numeric)
-    return GramMatrix(lo, hi, family, weight, entries)
+            entries[(n, m)] = GramEntry(n, m, exact, numeric)
+    return GramMatrix(lo, hi, entries)
 
 
 def theorem_band_value(offset: int, weight: Weight) -> PiRational:

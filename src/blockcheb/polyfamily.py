@@ -237,7 +237,9 @@ class Triangle:
         # The coefficients [x^t] Q_a, a = 0..t, of the last p degrees t,
         # newest first.
         self._recent: deque[list[int]] = deque(maxlen=family.p)
-        self._weights = [binomial(family.p, j) for j in range(1, family.p + 1)]
+        # Row m + d reads the last min(p, d) degrees, and d <= MAX_ROW.
+        self._weights = [binomial(family.p, j)
+                         for j in range(1, min(family.p, MAX_ROW) + 1)]
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple[int, ...]:

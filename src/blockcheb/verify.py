@@ -330,7 +330,7 @@ def check_zeros_numeric() -> CheckResult:
     return _worst("zeros-numeric-agreement", "3<=n<=20",
                   ((n,) for n in range(3, 21)), _zero_gap, 1e-10,
                   ("n", "max-gap"),
-                  "Sturm isolation + exact bisection vs closed form")
+                  "Sturm isolation + exact Newton vs closed form")
 
 
 # ---------------------------------------------------------------- bounds

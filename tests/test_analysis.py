@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +203,52 @@ def test_numeric_zeros_of_dyadic_factors(factors, c):
     assert rs.multiplicities == tuple(want[r] for r in sorted(want))
 
 
+def _bisect_reference(poly, lo, hi):
+    """The root of poly in (lo, hi] by exact float bisection, with signs
+    from Horner in Fractions: a reference that shares no code with the
+    refiner.  It returns a root that is a float exactly, and otherwise
+    the midpoint of the two floats around it, as the refiner must."""
+    def sign(x):
+        v = evaluate(poly, Fraction(x))
+        return (v > 0) - (v < 0)
+
+    shi = smid = sign(hi)
+    mid = hi
+    while smid:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        smid = sign(mid)
+        lo, hi = (lo, mid) if smid == shi else (mid, hi)
+    return mid
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 400),
+                          st.integers(1, 2)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(-300, 300)),
+                max_size=3))
+def test_numeric_zeros_match_reference_bisection(quadratics, linears):
+    # prod ((2^e x)^2 - a)^k (2^e x - b): irrational roots +-sqrt(a)/2^e
+    # inside and outside [-1, 1] beside exact dyadic ones.  Each factor
+    # is bisected on its own bracket; numeric_zeros must give the same
+    # floats with the same multiplicities.
+    poly, want = IntPolynomial((1,)), Counter()
+    for e, a, k in quadratics:
+        factor = IntPolynomial((-a, 0, 4 ** e))
+        for _ in range(k):
+            poly = poly * factor
+        for lo, hi in ((0.0, a + 1.0), (-a - 1.0, 0.0)):
+            want[_bisect_reference(factor, lo, hi)] += k
+    for e, b in linears:
+        factor = IntPolynomial((-b, 2 ** e))
+        poly = poly * factor
+        want[_bisect_reference(factor, -abs(b) - 1.0, abs(b) + 1.0)] += 1
+    rs = numeric_zeros(poly)
+    assert rs.roots == tuple(sorted(want))
+    assert rs.multiplicities == tuple(want[x] for x in rs.roots)
+
+
 def test_numeric_zeros_error_paths():
     with pytest.raises(InvalidConfigError):
         numeric_zeros(IntPolynomial())
@@ -287,6 +334,16 @@ def test_extrema_match_sturm_isolation(extrema_to_60):
         sturm = numeric_zeros(build_definitional(n, P_FAMILY).derivative())
         interior = [x for _, x in extrema_to_60[n][1:-1]]
         assert interior == list(reversed(sturm.roots)), n
+
+
+def test_extrema_match_reference_bisection(extrema_to_60):
+    # The Rolle brackets bisected without the shared refiner.
+    for n in (3, 4, 7, 12, 25):
+        dp = build_definitional(n, P_FAMILY).derivative()
+        zs = closed_form_zeros(n).roots
+        want = [_bisect_reference(dp, lo, hi) for lo, hi in zip(zs, zs[1:])]
+        interior = [x for _, x in extrema_to_60[n][1:-1]]
+        assert interior == want[::-1], n
 
 
 @pytest.mark.parametrize("corrupt", [

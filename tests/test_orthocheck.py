@@ -295,6 +295,5 @@ def test_theorem_band_values():
 
 
 def test_gram_entry_agreement_value():
-    e = GramEntry(3, 3, P_FAMILY, Weight(-1),
-                  PiRational.of(Fraction(1, 4)), math.pi / 4)
+    e = GramEntry(3, 3, PiRational.of(Fraction(1, 4)), math.pi / 4)
     assert e.agreement <= 1e-15

@@ -10,6 +10,7 @@ import hashlib
 import os
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,17 @@ def test_triangle_rows_same_stepwise_or_at_once():
         stepwise = Triangle(fam)
         rows = [stepwise.row(n) for n in range(fam.m, 61)]
         assert Triangle(fam).rows(60) == rows
+
+
+def test_triangle_of_large_p_is_cheap():
+    # Rows to MAX_ROW read C(p, j) only for j <= MAX_ROW, so a family
+    # with p = 20000 must not compute all 20000 binomials.
+    fam = Family(0, 20000)
+    start = time.perf_counter()
+    rows = Triangle(fam).rows(6)
+    assert time.perf_counter() - start < 1.0
+    assert rows == [tuple(coefficient(n, k, fam) for k in range(n + 1))
+                    for n in range(7)]
 
 
 def test_row_limit():
