@@ -4,12 +4,15 @@ Every integral here is of the form
 
     I(n, m) = integral_{-1}^{1} P_n(x) P_m(x) (1 - x^2)^(q/2) dx
 
-with half-exponent q >= -1.  The exact route stays in x: it multiplies
-the integer rows and pairs the even-index coefficients of P_n P_m with
-the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2) dx, which are
-rational multiples of pi for odd q and rationals for even q (Wallis).
-The moments are cached per weight as integer numerators N_j over one
-common denominator D, so each entry is one integer dot product and one
+with half-exponent q >= -1.  The exact route stays in x and pairs the
+integer rows with the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2)
+dx, which are rational multiples of pi for odd q and rationals for even q
+(Wallis).  The moments are cached per weight as integer numerators N_j
+over one common denominator D.  Each row c = P_n gets one moment vector
+v[i] = sum_j c[j] N_((i+j)/2) over even i + j (a Hankel moment matrix
+times the row; Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, ch. 2), so an entry is the shorter row dotted with the
+longer row's vector over D: one short integer dot product and one
 Fraction.  Odd powers of x integrate to 0 against the even weight.  The
 rows come from their integer coefficients, never from their
 trigonometric closed form, so those identities stay independent test
@@ -21,22 +24,25 @@ integrands here (Golub & Welsch 1969).  Odd q splits the weight as
 first kind on the polynomial part (Mason & Handscomb, *Chebyshev
 Polynomials*); even q runs Gauss-Legendre on the whole polynomial.
 Rows are evaluated pointwise in extended precision, independently of the
-moment route: coefficient sums reach 1e5 by degree 15, which leaves no
-float64 margin against the 1e-10 agreement contract.
+moment route: each integer row is converted exactly to the Chebyshev-T
+basis and summed at the nodes by Clenshaw's recurrence (Clenshaw 1955).
+Monomial Horner would not do: the coefficients of the (2, 2) rows cancel
+on [-1, 1], and at row 60 longdouble Horner misses by about 1e4.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
 from .errors import InvalidConfigError
 from .exact import PiRational
-from .polyfamily import Family, IntPolynomial, build_definitional, check_row
+from .polyfamily import Family, check_row, triangle
 
 
 # A bound on outside input: q sets the size of every moment and the Gauss
@@ -44,7 +50,8 @@ from .polyfamily import Family, IntPolynomial, build_definitional, check_row
 MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
-# 2N; 3..60 takes about 0.25 s exact-only.
+# 2N; 3..60 of the (2, 2) rows takes 12-35 ms exact-only in process and
+# about 0.85 s with the numeric column at q = 200 (CPython 3.11, x86-64).
 MAX_GRAM_ROW = 60
 
 
@@ -115,16 +122,35 @@ def _moment_slot(q: int) -> list[tuple[tuple[int, ...], int]]:
     return [((), 1)]
 
 
-def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
-    """Even-index coefficients of P_n P_m against the Beta moments."""
-    pn, pm = build_definitional(n, family), build_definitional(m, family)
-    even = (pn * pm).coeffs[::2]
-    slot = _moment_slot(weight.half_exponent)
+# A Gram document reads the vector of each row of its range once for every
+# shorter row, so an LRU cache that cannot hold the whole range misses on
+# every entry.  A range has at most MAX_GRAM_ROW + 1 = 61 rows, so 256
+# entries hold four whole ranges.
+@lru_cache(maxsize=256)
+def _moment_vector(n: int, m: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
+    """v[i] = sum_j c[j] N_((i+j)/2) over even i + j, for row n = c of
+    family (m, p), with the denominator D of the moments it used.
+
+    The denominator travels with the vector: a table that grows later
+    has other numerators over another D, and this vector stays exact.
+    """
+    row = triangle(Family(m, p)).row(n)
+    slot = _moment_slot(q)
     numerators, denominator = slot[0]
-    if len(numerators) < len(even):
-        slot[0] = numerators, denominator = \
-            _integer_moments(weight.half_exponent, len(even))
-    total = Fraction(sum(map(mul, even, numerators)), denominator)
+    if len(numerators) < len(row):
+        slot[0] = numerators, denominator = _integer_moments(q, len(row))
+    vector = tuple(sum(map(mul, row[i % 2::2], numerators[(i + 1) // 2:]))
+                   for i in range(len(row)))
+    return vector, denominator
+
+
+def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
+    """The shorter row dotted with the longer row's moment vector."""
+    short, long = sorted((n, m))
+    row = triangle(family).row(short)
+    vector, denominator = _moment_vector(long, family.m, family.p,
+                                         weight.half_exponent)
+    total = Fraction(sum(map(mul, row, vector)), denominator)
     if weight.half_exponent % 2:
         return PiRational(total, Fraction(0))
     return PiRational(Fraction(0), total)
@@ -133,11 +159,42 @@ def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRat
 _LONG_PI = np.arccos(np.longdouble(-1.0))
 
 
-def _horner_array(poly: IntPolynomial, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + np.longdouble(c)
-    return acc
+def _longdouble(num: int, exp: int) -> np.longdouble:
+    """num * 2^exp in extended precision, num cut to its top 63 bits."""
+    shift = max(abs(num).bit_length() - 63, 0)
+    return np.ldexp(np.longdouble(num >> shift), exp + shift)
+
+
+# Weight-free, so the rows of one Gram range fit several times over.
+@lru_cache(maxsize=256)
+def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
+    """Row n of family (m, p) as its coefficients a_t in the Chebyshev-T
+    basis, read-only.
+
+    2^k x^k = sum_j C(k, j) T_|k-2j| converts the integer row exactly
+    into 2^d a_t, d its degree; only the final a_t are rounded.
+    """
+    row = triangle(Family(m, p)).row(n)
+    d = len(row) - 1
+    scaled, binom = [0] * (d + 1), [1]
+    for k, c in enumerate(row):
+        if c:
+            c <<= d - k
+            for j, b in enumerate(binom):
+                scaled[abs(k - 2 * j)] += c * b
+        binom = [1, *map(add, binom, binom[1:]), 1]
+    coeffs = np.array([_longdouble(a, -d) for a in scaled], dtype=np.longdouble)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[t] T_t(x) by Clenshaw's recurrence."""
+    b1 = b2 = np.zeros_like(x)
+    two_x = 2 * x
+    for c in coeffs[:0:-1]:
+        b1, b2 = two_x * b1 - b2 + c, b1
+    return x * b1 - b2 + coeffs[0]
 
 
 def quadrature_nodes(n: int, m: int, weight: Weight) -> int:
@@ -178,7 +235,8 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
-    pn, pm = build_definitional(n, family), build_definitional(m, family)
+    an = _chebyshev_row(n, family.m, family.p)
+    am = _chebyshev_row(m, family.m, family.p)
     count = quadrature_nodes(n, m, weight)
     q = weight.half_exponent
     if q % 2:
@@ -186,8 +244,8 @@ def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> flo
         x, w = np.cos((2 * k - 1) * _LONG_PI / (2 * count)), _LONG_PI / count
     else:
         x, w = _gauss_legendre(count)
-    vn = _horner_array(pn, x)
-    vm = vn if n == m else _horner_array(pm, x)
+    vn = _clenshaw(an, x)
+    vm = vn if n == m else _clenshaw(am, x)
     return float(np.sum(w * vn * vm * (1 - x * x) ** ((q + 1) // 2)))
 
 
@@ -237,15 +295,19 @@ class GramMatrix:
         for offset in range(self.hi - self.lo + 1):
             cells = [(n, n + offset, self.entry(n, n + offset).exact)
                      for n in range(self.lo, self.hi - offset + 1)]
-            counts: dict[PiRational, int] = {}
-            for _, _, v in cells:
-                counts[v] = counts.get(v, 0) + 1
-            modal, best = None, -1
-            for v, c in counts.items():
-                if c > best:
-                    modal, best = v, c
-            deviations = tuple((n, m, v) for n, m, v in cells if v != modal)
-            report[offset] = BandPattern(not deviations, modal, deviations)
+            # Fractions are in lowest terms, so equal values have equal
+            # integer keys, which hash and compare in C; a PiRational
+            # hashes two Fractions in Python.
+            keys = [(v.pi_part.numerator, v.pi_part.denominator,
+                     v.rational_part.numerator, v.rational_part.denominator)
+                    for _, _, v in cells]
+            counts = Counter(keys)
+            modal = max(counts, key=counts.get)  # the first most frequent
+            deviations = tuple(cell for cell, key in zip(cells, keys)
+                               if key != modal)
+            report[offset] = BandPattern(not deviations,
+                                         cells[keys.index(modal)][2],
+                                         deviations)
         return report
 
 

@@ -264,6 +264,33 @@ def test_numeric_zeros_error_paths():
         numeric_zeros(IntPolynomial((-2 ** 1100, 1)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-2 ** 40, 2 ** 40)),
+                max_size=4),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.integers(1, 2 ** 20))
+@example([], [0, 1], 1)
+@example([(0, 5)], [1], 2 ** 20)
+def test_roots_lie_inside_the_root_bound(linears, cofactor, lead):
+    # prod (2^e x - a) times a small cofactor with a leading coefficient
+    # `lead`: roots far outside [-1, 1], tiny and complex ones.  The bound
+    # exponent is the least k >= 1 its definition allows, and every root
+    # found lies strictly inside (-2^k, 2^k).
+    poly = IntPolynomial(cofactor + [lead])
+    for e, a in linears:
+        poly = poly * IntPolynomial((-a, 2 ** e))
+    *rest, top = map(abs, poly.coeffs)
+
+    def holds(k):
+        return all(top << ((k - 1) * i) > c
+                   for i, c in enumerate(reversed(rest), 1))
+
+    k = analysis._root_bound_exponent(poly)
+    assert k >= 1 and holds(k) and (k == 1 or not holds(k - 1))
+    bound = math.ldexp(1.0, k)
+    assert all(-bound < x < bound for x in numeric_zeros(poly).roots)
+
+
 # ---------------------------------------------------------------- extrema
 
 def test_extrema_endpoints_and_counts():

@@ -21,10 +21,10 @@ from numpy.polynomial.legendre import leggauss
 from blockcheb import cli, orthocheck
 from blockcheb.errors import InvalidConfigError
 from blockcheb.exact import PiRational
-from blockcheb.orthocheck import (MAX_HALF_EXPONENT, GramEntry, Weight,
-                                  _gauss_legendre, beta_moments, gram_matrix,
-                                  inner_product_exact, inner_product_numeric,
-                                  theorem_band_value)
+from blockcheb.orthocheck import (MAX_GRAM_ROW, MAX_HALF_EXPONENT, GramEntry,
+                                  Weight, _gauss_legendre, beta_moments,
+                                  gram_matrix, inner_product_exact,
+                                  inner_product_numeric, theorem_band_value)
 from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY, Family,
                                   build_definitional)
 
@@ -105,12 +105,54 @@ def test_moment_cache_holds_one_table_per_weight():
     cache = orthocheck._moment_slot
     assert cache.cache_info().maxsize == MAX_HALF_EXPONENT + 2
     cache.cache_clear()
+    orthocheck._moment_vector.cache_clear()
     weights = (-1, 0, 1, 2, 3, 5, 17, 200)
     for q in weights:
         for n, m in ((3, 3), (40, 40), (10, 12)):
             inner_product_exact(n, m, P_FAMILY, Weight(q))
     assert cache.cache_info().currsize == len(weights)
     assert cache.cache_info().currsize <= MAX_HALF_EXPONENT + 2
+
+
+def test_moment_vector_cache_is_bounded():
+    # It must hold every row of one Gram range, or the LRU order makes
+    # every entry of gram_matrix miss.
+    cache = orthocheck._moment_vector
+    assert cache.cache_info().maxsize == 256
+    assert cache.cache_info().maxsize >= MAX_GRAM_ROW + 1
+    cache.cache_clear()
+    gram_matrix((3, MAX_GRAM_ROW), P_FAMILY, Weight(5), with_numeric=False)
+    info = cache.cache_info()
+    assert info.currsize == MAX_GRAM_ROW - 2
+    assert info.misses == MAX_GRAM_ROW - 2
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 4])
+def test_vectors_stay_exact_when_the_moment_table_grows(q):
+    # Rows 3..10 cache their vectors over a short moment table; row 60
+    # then grows the weight's table, whose numerators and denominator
+    # change.  Entries read from the old vectors and the new one must
+    # all still be exact.
+    w = Weight(q)
+    orthocheck._moment_slot.cache_clear()
+    orthocheck._moment_vector.cache_clear()
+
+    def want(n, m):
+        total = _per_term_fraction_sum(n, m, P_FAMILY, w)
+        return PiRational(total, Fraction(0)) if q % 2 \
+            else PiRational(Fraction(0), total)
+
+    small = [(n, m) for n in range(3, 11) for m in range(n, 11)]
+    for n, m in small:
+        assert inner_product_exact(n, m, P_FAMILY, w) == want(n, m)
+    short_table = orthocheck._moment_slot(q)[0]
+    for n in range(3, 61):
+        assert inner_product_exact(n, 60, P_FAMILY, w) == want(n, 60), n
+    grown_table = orthocheck._moment_slot(q)[0]
+    assert len(grown_table[0]) > len(short_table[0])
+    assert grown_table[1] != short_table[1]
+    for n, m in small:
+        assert inner_product_exact(m, n, P_FAMILY, w) == want(n, m)
 
 
 def test_gram_documents_match_golden_digests(capsys):
@@ -223,13 +265,17 @@ def test_node_count_is_load_bearing(q, monkeypatch):
 
 
 def test_numeric_agrees_on_cheap_entries():
-    for q in (-1, 1, 3):
-        w = Weight(q)
-        for n in range(3, 9):
-            for m in range(n, 9):
-                gap = abs(float(inner_product_exact(n, m, P_FAMILY, w))
-                          - inner_product_numeric(n, m, P_FAMILY, w))
-                assert gap <= 1e-10
+    # From each family's first row, row 0 of U included: the Chebyshev
+    # conversion and Clenshaw's recurrence on rows of every length.
+    for family in (P_FAMILY, U_FAMILY, T_FAMILY, Family(3, 3), Family(1, 4)):
+        for q in (-1, 1, 3):
+            w = Weight(q)
+            for n in range(family.m, 9):
+                for m in range(n, 9):
+                    exact = float(inner_product_exact(n, m, family, w))
+                    gap = abs(exact - inner_product_numeric(n, m, family, w))
+                    assert gap <= 1e-10 * max(1.0, abs(exact)), \
+                        (family, n, m, q)
 
 
 def test_numeric_agrees_on_dense_entries():
@@ -240,6 +286,19 @@ def test_numeric_agrees_on_dense_entries():
                 gap = abs(float(inner_product_exact(n, m, P_FAMILY, w))
                           - inner_product_numeric(n, m, P_FAMILY, w))
                 assert gap <= 1e-10, (n, m, q)
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1, 3])
+def test_numeric_agrees_to_the_gram_limit(q):
+    # Monomial Horner in longdouble missed the (60, 60) entry at q = -1
+    # by about 1e4; the Chebyshev-basis rows keep every entry of the
+    # largest admitted range within 1e-12 relative.
+    w = Weight(q)
+    for n in range(3, MAX_GRAM_ROW + 1):
+        for m in range(n, MAX_GRAM_ROW + 1):
+            exact = float(inner_product_exact(n, m, P_FAMILY, w))
+            gap = abs(exact - inner_product_numeric(n, m, P_FAMILY, w))
+            assert gap <= 1e-12 * max(1.0, abs(exact)), (n, m)
 
 
 # ------------------------------------------------------------ gram matrix
