@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,19 @@ def stdout_of(argv: list[str]) -> str:
     if rc == 2:
         raise RuntimeError(f"blockcheb {' '.join(argv)} was rejected")
     return out.getvalue()
+
+
+def surface_of(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of `blockcheb argv`, run in
+    process; the code of a SystemExit (help, version, usage errors)
+    counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def sha256(text: str) -> str:
@@ -77,8 +91,30 @@ DOCUMENT_COMMANDS = [
     *(f"zeros --m 2 --p 2 --n {n}" for n in (3, 4, 8, 41, 200)),
 ]
 
+# Help, version and usage errors, with every command's help among them.
+SURFACE_COMMANDS = [
+    "-h", "--version", "", "frobnicate",
+    *(f"{cmd} -h" for cmd in ("triangle", "export", "poly", "eval", "zeros",
+                               "extrema", "gram", "verify", "oracle")),
+    "oracle --max-g 8",
+    "gram --weigh 0 --range 3..4 --no-numeric",
+    "gram --weight -1 --range 3..4 --no-numeric",
+    "eval --n 3 --x=-1/2",
+    "triangle --max-n 1",
+    "triangle --max-n 3 --bogus",
+    "triangle --max-n 3 --format xml",
+    "triangle --max-n x",
+    "gram --weight",
+]
+
 # The header of each digest file, verbatim.
 HEADERS = {
+    "cli_surface_sha256.txt": (
+        "# columns: exit code, SHA-256 of stdout, SHA-256 of stderr, the "
+        "blockcheb command line; run in process through cli.main with "
+        "COLUMNS=80, a SystemExit's code as the exit code; written at "
+        "commit 26251da, before each command got its own parser, by: "
+        "PYTHONPATH=src python tests/regen_golden.py"),
     "documents_sha256.txt": (
         "# columns: a blockcheb command line, SHA-256 of its stdout; "
         "written at commit 7daf73a, before the CSV and b-file parsers were "
@@ -140,6 +176,15 @@ def _cli_rows(rows):
     return [f"{columns} {sha256(stdout_of(argv))}" for columns, argv in rows]
 
 
+def _surface_rows():
+    rows = []
+    for cmd in SURFACE_COMMANDS:
+        code, out, err = surface_of(cmd.split())
+        rows.append(f"{code} {sha256(out)} {sha256(err)} blockcheb {cmd}"
+                    .rstrip())
+    return rows
+
+
 def _route_rows():
     rows = []
     for name, out in route_outputs().items():
@@ -150,6 +195,7 @@ def _route_rows():
 
 # Each digest file's rows, in file order.
 TABLE = {
+    "cli_surface_sha256.txt": _surface_rows,
     "documents_sha256.txt": lambda: _cli_rows(
         (cmd, cmd.split()) for cmd in DOCUMENT_COMMANDS),
     "gram_sha256.txt": lambda: _cli_rows(
@@ -184,6 +230,7 @@ def main() -> int:
     if strays:
         print(f"no table entry for {', '.join(strays)}", file=sys.stderr)
         return 1
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     for name in names:
         (GOLDEN / name).write_text(render(name), encoding="utf-8")
     return 0

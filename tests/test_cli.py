@@ -25,6 +25,7 @@ from blockcheb.cli import main
 from blockcheb.documents import build_document, to_bfile
 from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
 from blockcheb.polyfamily import MAX_ROW, P_FAMILY, build_definitional
+from regen_golden import GOLDEN, render
 
 
 def _run(capsys, *argv):
@@ -322,3 +323,12 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
     assert "usage" in capsys.readouterr().err
+
+
+def test_cli_surface_matches_golden_digests(monkeypatch):
+    """Help, version and usage errors, byte for byte with their exit codes,
+    against cli_surface_sha256.txt, whose header names the commit and the
+    command that wrote it.  argparse wraps help to the terminal width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    want = (GOLDEN / "cli_surface_sha256.txt").read_text(encoding="utf-8")
+    assert render("cli_surface_sha256.txt") == want
