@@ -28,8 +28,6 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from math import comb
 
-import numpy as np
-
 from .errors import GroundSetTooLargeError, InvalidConfigError
 from .exact import binomial
 
@@ -50,6 +48,7 @@ def _kernel(n: int, p: int, m: int) -> list[list[int]]:
     extra block j exactly when L <= n*p + j, so row j sums the bins of
     bit length up to n*p + j.
     """
+    import numpy as np  # here, so commands that enumerate nothing skip it
     base = n * p
     nground = base + m
     if m < 0 or not 0 <= nground <= ENUMERATION_BOUND:

@@ -219,94 +219,117 @@ def cmd_oracle(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-def _add_family_flags(sub, default_m=2, default_p=2):
-    sub.add_argument("--m", type=int, default=default_m,
-                     help="extra-block size m (family parameter)")
-    sub.add_argument("--p", type=int, default=default_p,
-                     help="block size p (family parameter)")
+def _family_flags(parser):
+    parser.add_argument("--m", type=int, default=2,
+                        help="extra-block size m (family parameter)")
+    parser.add_argument("--p", type=int, default=2,
+                        help="block size p (family parameter)")
+
+
+def _triangle_flags(parser, default_format="json"):
+    _family_flags(parser)
+    parser.add_argument("--max-n", type=int, required=True)
+    parser.add_argument("--format", choices=("json", "csv", "bfile"),
+                        default=default_format)
+    parser.add_argument("--cache-dir", default=None)
+
+
+def _export_flags(parser):
+    _triangle_flags(parser, default_format="bfile")
+    parser.add_argument("--out", default=None,
+                        help="write to this file instead of stdout")
+
+
+def _row_flags(parser):
+    _family_flags(parser)
+    parser.add_argument("--n", type=int, required=True)
+
+
+def _eval_flags(parser):
+    _row_flags(parser)
+    parser.add_argument("--x", required=True,
+                        help="evaluation point, e.g. 1, -1/2, 0.25")
+
+
+def _zeros_flags(parser):
+    _row_flags(parser)
+    parser.add_argument("--method", choices=("closed", "numeric"),
+                        default="closed",
+                        help="closed form is available for the (2,2) family")
+
+
+def _extrema_flags(parser):
+    parser.add_argument("--n", type=int, required=True)
+
+
+def _gram_flags(parser):
+    _family_flags(parser)
+    parser.add_argument("--weight", type=int, default=-1,
+                        help="half-exponent q of the weight (1-x^2)^(q/2), "
+                             f"-1 <= q <= {MAX_HALF_EXPONENT}")
+    parser.add_argument("--range", default="3..8",
+                        help="row range, e.g. 3..8")
+    parser.add_argument("--no-numeric", action="store_true",
+                        help="skip the Gauss quadrature cross-check column")
+
+
+def _verify_flags(parser):
+    parser.add_argument("--suite", default="all",
+                        choices=tuple(SUITES) + ("all",))
+
+
+def _oracle_flags(parser):
+    parser.add_argument("--max-ground", type=int, default=10,
+                        help="largest ground-set size n*p+m to enumerate")
+    parser.add_argument("--p-max", type=int, default=4)
+
+
+# name: (help, add_flags, handler), in the order the root help lists them.
+COMMANDS = {
+    "triangle": ("print a coefficient triangle", _triangle_flags,
+                 cmd_triangle),
+    "export": ("export a triangle (b-file by default)", _export_flags,
+               cmd_export),
+    "poly": ("print one polynomial row", _row_flags, cmd_poly),
+    "eval": ("evaluate one row exactly", _eval_flags, cmd_eval),
+    "zeros": ("real zeros of one row", _zeros_flags, cmd_zeros),
+    "extrema": ("extreme points of a (2,2)-family row", _extrema_flags,
+                cmd_extrema),
+    "gram": ("weighted Gram matrix and band report", _gram_flags, cmd_gram),
+    "verify": ("run verification suites", _verify_flags, cmd_verify),
+    "oracle": ("exhaustive enumeration vs closed form", _oracle_flags,
+               cmd_oracle),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The root parser: --version and the command names, without their
+    flags, which only the command's own parser in main() holds."""
     parser = argparse.ArgumentParser(
         prog="blockcheb",
         description="Exact block-count Chebyshev-type polynomial toolkit")
     parser.add_argument("--version", action="version",
                         version=f"blockcheb {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    tri = subs.add_parser("triangle", help="print a coefficient triangle")
-    _add_family_flags(tri)
-    tri.add_argument("--max-n", type=int, required=True)
-    tri.add_argument("--format", choices=("json", "csv", "bfile"),
-                     default="json")
-    tri.add_argument("--cache-dir", default=None)
-    tri.set_defaults(fn=cmd_triangle)
-
-    exp = subs.add_parser("export",
-                          help="export a triangle (b-file by default)")
-    _add_family_flags(exp)
-    exp.add_argument("--max-n", type=int, required=True)
-    exp.add_argument("--format", choices=("json", "csv", "bfile"),
-                     default="bfile")
-    exp.add_argument("--cache-dir", default=None)
-    exp.add_argument("--out", default=None,
-                     help="write to this file instead of stdout")
-    exp.set_defaults(fn=cmd_export)
-
-    pol = subs.add_parser("poly", help="print one polynomial row")
-    _add_family_flags(pol)
-    pol.add_argument("--n", type=int, required=True)
-    pol.set_defaults(fn=cmd_poly)
-
-    ev = subs.add_parser("eval", help="evaluate one row exactly")
-    _add_family_flags(ev)
-    ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--x", required=True,
-                    help="evaluation point, e.g. 1, -1/2, 0.25")
-    ev.set_defaults(fn=cmd_eval)
-
-    ze = subs.add_parser("zeros", help="real zeros of one row")
-    _add_family_flags(ze)
-    ze.add_argument("--n", type=int, required=True)
-    ze.add_argument("--method", choices=("closed", "numeric"),
-                    default="closed",
-                    help="closed form is available for the (2,2) family")
-    ze.set_defaults(fn=cmd_zeros)
-
-    ex = subs.add_parser("extrema",
-                         help="extreme points of a (2,2)-family row")
-    ex.add_argument("--n", type=int, required=True)
-    ex.set_defaults(fn=cmd_extrema)
-
-    gr = subs.add_parser("gram", help="weighted Gram matrix and band report")
-    _add_family_flags(gr)
-    gr.add_argument("--weight", type=int, default=-1,
-                    help="half-exponent q of the weight (1-x^2)^(q/2), "
-                         f"-1 <= q <= {MAX_HALF_EXPONENT}")
-    gr.add_argument("--range", default="3..8", help="row range, e.g. 3..8")
-    gr.add_argument("--no-numeric", action="store_true",
-                    help="skip the Gauss quadrature cross-check column")
-    gr.set_defaults(fn=cmd_gram)
-
-    ve = subs.add_parser("verify", help="run verification suites")
-    ve.add_argument("--suite", default="all",
-                    choices=tuple(SUITES) + ("all",))
-    ve.set_defaults(fn=cmd_verify)
-
-    orc = subs.add_parser("oracle",
-                          help="exhaustive enumeration vs closed form")
-    orc.add_argument("--max-ground", type=int, default=10,
-                     help="largest ground-set size n*p+m to enumerate")
-    orc.add_argument("--p-max", type=int, default=4)
-    orc.set_defaults(fn=cmd_oracle)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        subs.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in COMMANDS:
+        # Help, --version, or a missing or unknown command: each exits.
+        build_parser().parse_args(argv)
+    name = argv[0]
+    _, add_flags, handler = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"blockcheb {name}")
+    add_flags(parser)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.fn(args)
+        return handler(args)
     except BrokenPipeError:  # an OSError, but a closed reader is no error
         return 0
     except (InvalidConfigError, ConvergenceError, GroundSetTooLargeError,

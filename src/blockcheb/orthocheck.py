@@ -37,12 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidConfigError
 from .exact import PiRational
 from .polyfamily import Family, check_row, triangle
+
+if TYPE_CHECKING:  # the numeric route imports numpy where it runs
+    import numpy as np
 
 
 # A bound on outside input: q sets the size of every moment and the Gauss
@@ -156,15 +158,6 @@ def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRat
     return PiRational(Fraction(0), total)
 
 
-_LONG_PI = np.arccos(np.longdouble(-1.0))
-
-
-def _longdouble(num: int, exp: int) -> np.longdouble:
-    """num * 2^exp in extended precision, num cut to its top 63 bits."""
-    shift = max(abs(num).bit_length() - 63, 0)
-    return np.ldexp(np.longdouble(num >> shift), exp + shift)
-
-
 # Weight-free, so the rows of one Gram range fit several times over.
 @lru_cache(maxsize=256)
 def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
@@ -172,8 +165,10 @@ def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
     basis, read-only.
 
     2^k x^k = sum_j C(k, j) T_|k-2j| converts the integer row exactly
-    into 2^d a_t, d its degree; only the final a_t are rounded.
+    into 2^d a_t, d its degree; only the final a_t are rounded, each
+    2^d a_t cut to its top 63 bits, which extended precision holds.
     """
+    import numpy as np
     row = triangle(Family(m, p)).row(n)
     d = len(row) - 1
     scaled, binom = [0] * (d + 1), [1]
@@ -183,13 +178,17 @@ def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
             for j, b in enumerate(binom):
                 scaled[abs(k - 2 * j)] += c * b
         binom = [1, *map(add, binom, binom[1:]), 1]
-    coeffs = np.array([_longdouble(a, -d) for a in scaled], dtype=np.longdouble)
+    shifts = [max(abs(a).bit_length() - 63, 0) for a in scaled]
+    tops = np.array([a >> s for a, s in zip(scaled, shifts)],
+                    dtype=np.longdouble)
+    coeffs = np.ldexp(tops, np.array(shifts) - d)
     coeffs.setflags(write=False)
     return coeffs
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_t coeffs[t] T_t(x) by Clenshaw's recurrence."""
+    import numpy as np
     b1 = b2 = np.zeros_like(x)
     two_x = 2 * x
     for c in coeffs[:0:-1]:
@@ -217,8 +216,9 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights in extended precision,
     by Newton's method on the Legendre three-term recurrence.  The arrays
     are cached, hence read-only."""
+    import numpy as np
     k = np.arange(count, 0, -1, dtype=np.longdouble)
-    x = np.cos(_LONG_PI * (k - 0.25) / (count + 0.5))
+    x = np.cos(np.arccos(np.longdouble(-1.0)) * (k - 0.25) / (count + 0.5))
     for _ in range(100):
         prev, cur = np.ones_like(x), x
         for j in range(2, count + 1):
@@ -235,13 +235,15 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
+    import numpy as np
     an = _chebyshev_row(n, family.m, family.p)
     am = _chebyshev_row(m, family.m, family.p)
     count = quadrature_nodes(n, m, weight)
     q = weight.half_exponent
     if q % 2:
         k = np.arange(1, count + 1, dtype=np.longdouble)
-        x, w = np.cos((2 * k - 1) * _LONG_PI / (2 * count)), _LONG_PI / count
+        pi = np.arccos(np.longdouble(-1.0))
+        x, w = np.cos((2 * k - 1) * pi / (2 * count)), pi / count
     else:
         x, w = _gauss_legendre(count)
     vn = _clenshaw(an, x)

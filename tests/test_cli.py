@@ -6,9 +6,11 @@ subprocess check runs the callable that the console script names, as
 PYTHONPATH, so it works from a source checkout and from an install alike;
 it also confirms that pyproject.toml maps the `blockcheb` script to that
 callable.  Where the script itself is installed on PATH, a second check
-runs it directly.
+runs it directly.  A third imports blockcheb.cli in a child and checks
+that numpy stays unloaded.
 """
 
+import argparse
 import json
 import os
 import shutil
@@ -21,7 +23,7 @@ import pytest
 import blockcheb
 from blockcheb import __version__
 from blockcheb.analysis import MAX_ROOT_DEGREE, evaluate_exact_at_float
-from blockcheb.cli import main
+from blockcheb.cli import COMMANDS, build_parser, main
 from blockcheb.documents import build_document, to_bfile
 from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
 from blockcheb.polyfamily import MAX_ROW, P_FAMILY, build_definitional
@@ -40,14 +42,19 @@ def _run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_installed_entry_point():
+def _child_env() -> dict:
+    """This environment with the imported package first on PYTHONPATH."""
     env = dict(os.environ)
     package_root = str(Path(blockcheb.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_installed_entry_point():
     proc = subprocess.run([sys.executable, "-m", "blockcheb.cli",
                            "--version"], capture_output=True, text=True,
-                          env=env)
+                          env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"blockcheb {__version__}"
     assert proc.stderr == ""
@@ -58,6 +65,16 @@ def test_installed_entry_point():
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
         "project"]["scripts"]
     assert scripts["blockcheb"] == "blockcheb.cli:main"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only the enumeration kernel and the numeric Gram column use numpy,
+    so they import it where they run and every other command skips it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, blockcheb.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.skipif(shutil.which("blockcheb") is None,
@@ -332,3 +349,23 @@ def test_cli_surface_matches_golden_digests(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     want = (GOLDEN / "cli_surface_sha256.txt").read_text(encoding="utf-8")
     assert render("cli_surface_sha256.txt") == want
+
+
+def test_one_parser_per_command(capsys, monkeypatch):
+    """A command line builds only its command's parser; the root parser,
+    built for help, --version and usage errors, lists every command of
+    the table in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, payload = _run_json(capsys, "oracle", "--max-ground", "4")
+    assert (code, payload["kind"]) == (0, "oracle")
+    assert built == ["blockcheb oracle"]
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(COMMANDS)
