@@ -33,6 +33,8 @@ from .exact import binomial
 
 BACKEND = "numpy"
 ENUMERATION_BOUND = 24
+IDENTITY_P_MAX = 4  # every identity sweep covers block sizes p = 1..4
+E2_T_MAX = 3  # and E2 its shift t = 0..3
 _CHUNK = 1 << 14  # masks per numpy pass; 64 KiB arrays stay in cache
 
 
@@ -168,7 +170,8 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     Covers every configuration of _configurations.  Returns (number of
     comparisons, list of failures).  The sweep always reaches the ground
     set n = 0, m = max_ground, so a max_ground past the enumeration bound
-    is rejected before anything is enumerated.
+    is rejected before anything is enumerated.  So is a p_max past it,
+    whose every p above max_ground adds only block-free shapes, as p = 1.
 
     Each count is visited once, so the closed form is called uncached:
     a sweep would fill _f_closed_raw with entries nothing reads.  The
@@ -179,10 +182,11 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
         raise InvalidConfigError(
             f"oracle sweep needs max_ground >= 0 and p_max >= 1, "
             f"got max_ground={max_ground}, p_max={p_max}")
-    if max_ground > ENUMERATION_BOUND:
-        raise GroundSetTooLargeError(
-            f"oracle sweep max_ground {max_ground} exceeds enumeration "
-            f"bound {ENUMERATION_BOUND}")
+    for name, value in (("max_ground", max_ground), ("p_max", p_max)):
+        if value > ENUMERATION_BOUND:
+            raise GroundSetTooLargeError(
+                f"oracle sweep {name} {value} exceeds enumeration "
+                f"bound {ENUMERATION_BOUND}")
     # All walks come before the sums: walking between them measured a
     # peak resident set about 0.3 MB higher on the oracle workload.
     tables = {}
@@ -232,23 +236,22 @@ _IDENTITIES = {
 IDENTITY_IDS = tuple(_IDENTITIES)
 
 
-def check_identity(identity_id: str, max_ground: int = 12, p_max: int = 4,
-                   t_max: int = 3):
+def check_identity(identity_id: str, max_ground: int = 12):
     """Sweep one of the five published f-identities over a full range.
 
-    Every configuration of _configurations where the identity applies is
-    visited; E2 is swept for t = 0..t_max.  Both sides are evaluated with
-    f_closed, whose agreement with the enumeration oracle is checked
-    separately.  Returns (number of instances checked, list of
+    Every configuration of _configurations(max_ground, IDENTITY_P_MAX)
+    where the identity applies is visited, for each t = 0..E2_T_MAX in
+    E2.  Both sides are evaluated with f_closed, whose agreement with
+    the enumeration oracle is checked separately.  Returns (number of instances checked, list of
     failures), the shape of sweep_oracle_vs_closed.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity_id!r}")
     n_min, p_min, rhs = _IDENTITIES[identity_id]
-    ts = range(t_max + 1) if identity_id == "E2" else (None,)
+    ts = range(E2_T_MAX + 1) if identity_id == "E2" else (None,)
     checked = 0
     failures = []
-    for n, k, m, p in _configurations(max_ground, p_max):
+    for n, k, m, p in _configurations(max_ground, IDENTITY_P_MAX):
         if n < n_min or p < p_min:
             continue
         lhs = f_closed(n, k, m, p)

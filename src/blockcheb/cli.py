@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (closed_form_zeros, evaluate, evaluate_exact_at_float,
                        extrema, numeric_zeros)
 from .blockcount import sweep_oracle_vs_closed
-from .documents import TriangleCache, build_document, serialize
+from .documents import TriangleCache, build_document, decimals, serialize
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
 from .orthocheck import MAX_HALF_EXPONENT, Weight, gram_matrix
 from .polyfamily import Family, P_FAMILY, build_definitional, check_row
@@ -44,7 +44,12 @@ def _emit(payload: dict) -> None:
 
 
 def _pi_fields(value) -> dict:
-    return {"exact": str(value), "decimal": float(value)}
+    exact = decimals((value,))[0]
+    try:
+        return {"exact": exact, "decimal": float(value)}
+    except OverflowError:
+        raise InvalidConfigError(
+            "an exact value is too large for the decimal field") from None
 
 
 # ------------------------------------------------------------- subcommands
@@ -80,7 +85,7 @@ def cmd_poly(args) -> int:
         "schemaVersion": SCHEMA_VERSION,
         "kind": "polynomial",
         "m": family.m, "p": family.p, "n": args.n,
-        "coeffs": [str(c) for c in poly.coeffs],
+        "coeffs": list(decimals(poly.coeffs)),
         "pretty": str(poly),
     })
     return 0
@@ -94,20 +99,12 @@ def cmd_eval(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise InvalidConfigError(f"evaluation point {args.x!r} must look "
                                  f"like 1, -1/2 or 0.25") from None
-    value = evaluate(poly, x)
-    try:
-        decimal = float(value)
-    except OverflowError:
-        raise InvalidConfigError(f"the value of row {args.n} at x = {args.x} "
-                                 f"is too large for the decimal field") \
-            from None
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "evaluation",
         "m": family.m, "p": family.p, "n": args.n,
-        "x": str(x),
-        "exact": str(value),
-        "decimal": decimal,
+        "x": decimals((x,))[0],
+        **_pi_fields(evaluate(poly, x)),
     })
     return 0
 
@@ -169,7 +166,7 @@ def cmd_gram(args) -> int:
     gm = gram_matrix((lo, hi), family, weight,
                      with_numeric=not args.no_numeric)
     entries = []
-    for e in sorted(gm.entries(), key=lambda e: (e.n, e.m)):
+    for e in gm.entries():  # gram_matrix adds them in (n, m) order
         rec = {"n": e.n, "m": e.m, **_pi_fields(e.exact)}
         if e.numeric is not None:
             rec["numeric"] = e.numeric

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
 from .errors import InvalidConfigError
@@ -51,9 +52,20 @@ class TriangleDocument:
     generator: str
 
 
+def decimals(values) -> tuple[str, ...]:
+    """The exact values as strings, refused past Python's limit on the
+    digits of an integer written in decimal (sys.get_int_max_str_digits())."""
+    try:
+        return tuple(map(str, values))
+    except ValueError:
+        raise InvalidConfigError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, "
+            f"Python's limit for a decimal string") from None
+
+
 def build_document(family: Family, max_n: int) -> TriangleDocument:
     check_row(max_n, family)
-    rows = tuple((n, tuple(str(c) for c in row))
+    rows = tuple((n, decimals(row))
                  for n, row in enumerate(triangle(family).rows(max_n), family.m))
     return TriangleDocument(family.m, family.p, rows, tuple(oeis_refs(family)),
                             f"blockcheb {__version__}")
@@ -165,16 +177,11 @@ class TriangleCache:
         path = self._path(family)
         with _lock_for(path):
             stored = self.load(family)
-            have = stored.rows[-1][0] if stored and stored.rows else family.m - 1
-            if stored and have >= max_n:
-                return TriangleDocument(stored.m, stored.p,
-                                        stored.rows[:max_n - family.m + 1],
-                                        stored.oeis, stored.generator)
+            count = max_n - family.m + 1
+            if stored and len(stored.rows) >= count:
+                return replace(stored, rows=stored.rows[:count])
+            # Rows m..max_n, so every stored one too: nothing to splice.
             fresh = build_document(family, max_n)
-            if stored:
-                merged = stored.rows + fresh.rows[have - family.m + 1:]
-                fresh = TriangleDocument(fresh.m, fresh.p, merged, fresh.oeis,
-                                         fresh.generator)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -7,16 +7,16 @@ Every integral here is of the form
 with half-exponent q >= -1.  The exact route stays in x and pairs the
 integer rows with the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2)
 dx, which are rational multiples of pi for odd q and rationals for even q
-(Wallis).  The moments are cached per weight as integer numerators N_j
-over one common denominator D.  Each row c = P_n gets one moment vector
+(Wallis), written as integer numerators N_j over one common
+denominator D.  Each row c = P_n gets one cached moment vector
 v[i] = sum_j c[j] N_((i+j)/2) over even i + j (a Hankel moment matrix
 times the row; Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, ch. 2), so an entry is the shorter row dotted with the
-longer row's vector over D: one short integer dot product and one
-Fraction.  Odd powers of x integrate to 0 against the even weight.  The
-rows come from their integer coefficients, never from their
-trigonometric closed form, so those identities stay independent test
-targets.
+Approximation*, ch. 2), built from its own len(c) moments, so an entry
+is the shorter row dotted with the longer row's vector over that
+vector's D: one short integer dot product and one Fraction.  Odd
+powers of x integrate to 0 against the even weight.  The rows come
+from their integer coefficients, never from their trigonometric
+closed form, so those identities stay independent test targets.
 
 The numeric backend is a Gauss rule in x, exact for the polynomial
 integrands here (Golub & Welsch 1969).  Odd q splits the weight as
@@ -115,15 +115,6 @@ def _integer_moments(q: int, count: int) -> tuple[tuple[int, ...], int]:
     return tuple(numerators), bottom * suffix[0]
 
 
-# One slot per weight holds its longest table so far, since a longer table
-# serves every shorter entry exactly: q in -1..MAX_HALF_EXPONENT needs at
-# most MAX_HALF_EXPONENT + 2 = 202 slots.  Two threads growing one slot
-# at once may leave the shorter table there, which is still exact.
-@lru_cache(maxsize=MAX_HALF_EXPONENT + 2)
-def _moment_slot(q: int) -> list[tuple[tuple[int, ...], int]]:
-    return [((), 1)]
-
-
 # A Gram document reads the vector of each row of its range once for every
 # shorter row, so an LRU cache that cannot hold the whole range misses on
 # every entry.  A range has at most MAX_GRAM_ROW + 1 = 61 rows, so 256
@@ -131,16 +122,10 @@ def _moment_slot(q: int) -> list[tuple[tuple[int, ...], int]]:
 @lru_cache(maxsize=256)
 def _moment_vector(n: int, m: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
     """v[i] = sum_j c[j] N_((i+j)/2) over even i + j, for row n = c of
-    family (m, p), with the denominator D of the moments it used.
-
-    The denominator travels with the vector: a table that grows later
-    has other numerators over another D, and this vector stays exact.
+    family (m, p), with the denominator D of its len(c) moments.
     """
     row = triangle(Family(m, p)).row(n)
-    slot = _moment_slot(q)
-    numerators, denominator = slot[0]
-    if len(numerators) < len(row):
-        slot[0] = numerators, denominator = _integer_moments(q, len(row))
+    numerators, denominator = _integer_moments(q, len(row))
     vector = tuple(sum(map(mul, row[i % 2::2], numerators[(i + 1) // 2:]))
                    for i in range(len(row)))
     return vector, denominator
@@ -257,12 +242,6 @@ class GramEntry:
     m: int
     exact: PiRational
     numeric: float | None
-
-    @property
-    def agreement(self) -> float | None:
-        if self.numeric is None:
-            return None
-        return abs(float(self.exact) - self.numeric)
 
 
 @dataclass(frozen=True)

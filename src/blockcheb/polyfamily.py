@@ -32,12 +32,13 @@ nonzero there once p >= 3.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb
+from math import comb, log10
 
 from .blockcount import _f_closed_raw
 from .errors import InvalidConfigError
@@ -234,12 +235,12 @@ class Triangle:
     def __init__(self, family: Family):
         self.family = family
         self._rows: list[tuple[int, ...]] = []
-        # The coefficients [x^t] Q_a, a = 0..t, of the last p degrees t,
-        # newest first.
-        self._recent: deque[list[int]] = deque(maxlen=family.p)
         # Row m + d reads the last min(p, d) degrees, and d <= MAX_ROW.
         self._weights = [binomial(family.p, j)
                          for j in range(1, min(family.p, MAX_ROW) + 1)]
+        # The coefficients [x^t] Q_a, a = 0..t, of the last
+        # min(p, MAX_ROW) degrees t, newest first.
+        self._recent: deque[list[int]] = deque(maxlen=len(self._weights))
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple[int, ...]:
@@ -283,10 +284,18 @@ def _check_variant(variant: str) -> None:
 
 
 def check_row(n: int, family: Family) -> None:
-    """Reject a row index outside the family's triangle or above MAX_ROW."""
+    """Reject a row index outside the family's triangle, above MAX_ROW, or
+    whose top coefficient p^(n-m) alone has more digits than Python
+    writes as a decimal string (sys.get_int_max_str_digits(), 0 if
+    unlimited)."""
     _check_start(n, family)
     if n > MAX_ROW:
         raise InvalidConfigError(f"row {n} above the row limit {MAX_ROW}")
+    limit = sys.get_int_max_str_digits()
+    if limit and (n - family.m) * log10(family.p) >= limit:
+        raise InvalidConfigError(
+            f"row {n}: its top coefficient p^{n - family.m} has more than "
+            f"{limit} digits, Python's limit for a decimal string")
 
 
 # Unbounded on purpose: it grows only with the families a process asks

@@ -156,6 +156,8 @@ def test_sweep_rejects_bound_before_enumerating(monkeypatch):
         sweep_oracle_vs_closed(max_ground=40)
     with pytest.raises(GroundSetTooLargeError):
         sweep_oracle_vs_closed(max_ground=ENUMERATION_BOUND + 1, p_max=1)
+    with pytest.raises(GroundSetTooLargeError, match="p_max 25"):
+        sweep_oracle_vs_closed(max_ground=2, p_max=ENUMERATION_BOUND + 1)
 
 
 def test_oracle_respects_enumeration_bound():
@@ -199,10 +201,10 @@ def test_identity_e3_printed_fails_with_canonical_witness():
 
 
 def test_identity_e2_sweeps_every_t():
-    # E1 checks one instance per configuration, E2 one per t = 0..t_max.
+    # E1 checks one instance per configuration, E2 one per t = 0..3.
     configurations, _ = check_identity("E1", max_ground=6)
-    checked, failures = check_identity("E2", max_ground=6, t_max=2)
-    assert checked == 3 * configurations
+    checked, failures = check_identity("E2", max_ground=6)
+    assert checked == 4 * configurations
     assert failures == []
 
 

@@ -280,10 +280,21 @@ def test_config_errors_exit_2(capsys):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1
-    for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0")):
+    for argv in (("oracle", "--max-ground", "-1"), ("oracle", "--p-max", "0"),
+                 ("oracle", "--max-ground", "2", "--p-max", "25")):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1
+    # Exact strings past Python's 4,300-digit limit for int -> str: an
+    # exact value, the point itself, and a row whose top coefficient
+    # (10^18)^240 is refused before any row is built.
+    for argv in (("eval", "--n", "1000", "--x", "0.00001"),
+                 ("eval", "--n", "3", "--x", "1e-5000"),
+                 ("poly", "--m", "0", "--p", str(10 ** 18), "--n", "240")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert "digits" in err, argv
     # P_201 and P_202' have degree 201: one past the root-finding limit.
     for argv in (("zeros", "--method", "numeric", "--n", "201"),
                  ("extrema", "--n", "202")):
@@ -302,6 +313,37 @@ def test_config_errors_exit_2(capsys):
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == f"error: row {past_limit} above the row limit {MAX_ROW}\n"
+
+
+def test_values_past_the_digit_limit_exit_2(capsys):
+    # Under the least limit Python allows, 640 digits, row 40 of (0, p)
+    # passes the top-coefficient check (p^40 has 636 digits), but other
+    # coefficients of it have more, and the Gram entries built from it
+    # pass the float range first.
+    p = str(7_943_282 * 10 ** 9)  # about 10^15.9
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv in (("triangle", "--m", "0", "--p", p, "--max-n", "40"),
+                     ("poly", "--m", "0", "--p", p, "--n", "40")):
+            code, out, err = _run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == ("error: a value has more than 640 digits, "
+                           "Python's limit for a decimal string\n"), argv
+        code, out, err = _run(capsys, "gram", "--m", "0", "--p", p,
+                              "--range", "1..40", "--no-numeric")
+        assert (code, out) == (2, "")
+        assert err == "error: an exact value is too large for the " \
+                      "decimal field\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_block_size_past_64_bits(capsys):
+    p = str(2 ** 63)
+    code, payload = _run_json(capsys, "poly", "--m", "0", "--p", p, "--n", "1")
+    assert code == 0
+    assert payload["coeffs"] == ["0", p]
 
 
 def test_unusable_paths_exit_2(capsys, tmp_path):
