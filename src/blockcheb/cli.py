@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -94,11 +95,22 @@ def cmd_poly(args) -> int:
 def cmd_eval(args) -> int:
     family = _family(args)
     poly = build_definitional(args.n, family)
+    # Fraction expands a decimal exponent before the value can be refused
+    # (seconds at 1e-10000000); k mantissa digits, one nonzero, times 10^e
+    # leave more than |e| - k digits, so e is read from the string first.
+    limit = sys.get_int_max_str_digits()
+    parts = re.fullmatch(r"([^eE]*[1-9][^eE]*)[eE]([-+]?\d[\d_]*)\s*", args.x)
     try:
-        x = Fraction(args.x)
+        past = bool(limit and parts) and abs(int(parts[2])) > \
+            limit + sum(map(str.isdigit, parts[1]))
+        x = Fraction(0 if past else args.x)
     except (ValueError, ZeroDivisionError):
         raise InvalidConfigError(f"evaluation point {args.x!r} must look "
                                  f"like 1, -1/2 or 0.25") from None
+    if past:
+        raise InvalidConfigError(
+            f"evaluation point {args.x!r}: its exponent alone gives it more "
+            f"than {limit} digits, Python's limit for a decimal string")
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "evaluation",

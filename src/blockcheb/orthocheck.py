@@ -18,14 +18,14 @@ powers of x integrate to 0 against the even weight.  The rows come
 from their integer coefficients, never from their trigonometric
 closed form, so those identities stay independent test targets.
 
-The numeric backend is a Gauss rule in x, exact for the polynomial
-integrands here (Golub & Welsch 1969).  Odd q splits the weight as
-(1 - x^2)^(-1/2) (1 - x^2)^((q+1)/2) and runs Gauss-Chebyshev of the
+The numeric backend is one Gauss rule in x per Gram block, exact for
+every pair of its rows (Golub & Welsch 1969).  Odd q splits the weight
+as (1 - x^2)^(-1/2) (1 - x^2)^((q+1)/2) and runs Gauss-Chebyshev of the
 first kind on the polynomial part (Mason & Handscomb, *Chebyshev
 Polynomials*); even q runs Gauss-Legendre on the whole polynomial.
-Rows are evaluated pointwise in extended precision, independently of the
-moment route: each integer row is converted exactly to the Chebyshev-T
-basis and summed at the nodes by Clenshaw's recurrence (Clenshaw 1955).
+Each row is summed once at the nodes in extended precision, apart from
+the moment route: the integer row is converted exactly to the
+Chebyshev-T basis and summed by Clenshaw's recurrence (Clenshaw 1955).
 Monomial Horner would not do: the coefficients of the (2, 2) rows cancel
 on [-1, 1], and at row 60 longdouble Horner misses by about 1e4.
 """
@@ -53,7 +53,7 @@ MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
 # 2N; 3..60 of the (2, 2) rows takes 12-35 ms exact-only in process and
-# about 0.85 s with the numeric column at q = 200 (CPython 3.11, x86-64).
+# about 65 ms with the numeric column at q = 200 (CPython 3.11, x86-64).
 MAX_GRAM_ROW = 60
 
 
@@ -143,18 +143,14 @@ def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRat
     return PiRational(Fraction(0), total)
 
 
-# Weight-free, so the rows of one Gram range fit several times over.
-@lru_cache(maxsize=256)
-def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
-    """Row n of family (m, p) as its coefficients a_t in the Chebyshev-T
-    basis, read-only.
+def _chebyshev_row(row: tuple[int, ...]) -> np.ndarray:
+    """The integer row as its coefficients a_t in the Chebyshev-T basis.
 
     2^k x^k = sum_j C(k, j) T_|k-2j| converts the integer row exactly
     into 2^d a_t, d its degree; only the final a_t are rounded, each
     2^d a_t cut to its top 63 bits, which extended precision holds.
     """
     import numpy as np
-    row = triangle(Family(m, p)).row(n)
     d = len(row) - 1
     scaled, binom = [0] * (d + 1), [1]
     for k, c in enumerate(row):
@@ -166,9 +162,7 @@ def _chebyshev_row(n: int, m: int, p: int) -> np.ndarray:
     shifts = [max(abs(a).bit_length() - 63, 0) for a in scaled]
     tops = np.array([a >> s for a, s in zip(scaled, shifts)],
                     dtype=np.longdouble)
-    coeffs = np.ldexp(tops, np.array(shifts) - d)
-    coeffs.setflags(write=False)
-    return coeffs
+    return np.ldexp(tops, np.array(shifts) - d)
 
 
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -194,13 +188,9 @@ def quadrature_nodes(n: int, m: int, weight: Weight) -> int:
 trapezoid_nodes = quadrature_nodes
 
 
-# One gram document needs at most (2*MAX_GRAM_ROW + MAX_HALF_EXPONENT)//2
-# + 2 = 162 distinct node counts, so 256 entries hold all of them.
-@lru_cache(maxsize=256)
 def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights in extended precision,
-    by Newton's method on the Legendre three-term recurrence.  The arrays
-    are cached, hence read-only."""
+    by Newton's method on the Legendre three-term recurrence."""
     import numpy as np
     k = np.arange(count, 0, -1, dtype=np.longdouble)
     x = np.cos(np.arccos(np.longdouble(-1.0)) * (k - 0.25) / (count + 0.5))
@@ -213,17 +203,16 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - step
         if np.max(np.abs(step)) <= 4 * np.finfo(x.dtype).eps:
             break
-    w = 2 / ((1 - x * x) * slope * slope)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return x, 2 / ((1 - x * x) * slope * slope)
 
 
-def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
+def numeric_gram(rows, family: Family, weight: Weight) -> np.ndarray:
+    """The Gram block of rows in longdouble, (V * w (1-x^2)^((q+1)//2)) @ V^T
+    with V the rows at one rule's nodes: N Gauss nodes are exact to degree
+    2N - 1, so a rule sized for the largest row serves every pair."""
     import numpy as np
-    an = _chebyshev_row(n, family.m, family.p)
-    am = _chebyshev_row(m, family.m, family.p)
-    count = quadrature_nodes(n, m, weight)
+    top = max(rows)
+    count = quadrature_nodes(top, top, weight)
     q = weight.half_exponent
     if q % 2:
         k = np.arange(1, count + 1, dtype=np.longdouble)
@@ -231,9 +220,13 @@ def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> flo
         x, w = np.cos((2 * k - 1) * pi / (2 * count)), pi / count
     else:
         x, w = _gauss_legendre(count)
-    vn = _clenshaw(an, x)
-    vm = vn if n == m else _clenshaw(am, x)
-    return float(np.sum(w * vn * vm * (1 - x * x) ** ((q + 1) // 2)))
+    v = np.array([_clenshaw(_chebyshev_row(triangle(family).row(n)), x)
+                  for n in rows])
+    return (v * (w * (1 - x * x) ** ((q + 1) // 2))) @ v.T
+
+
+def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:
+    return float(numeric_gram((n, m), family, weight)[0, 1])
 
 
 @dataclass(frozen=True)
@@ -303,12 +296,12 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
     if hi > MAX_GRAM_ROW:
         raise InvalidConfigError(
             f"gram row {hi} above the Gram limit {MAX_GRAM_ROW}")
+    block = with_numeric and numeric_gram(range(lo, hi + 1), family, weight)
     entries = {}
     for n in range(lo, hi + 1):
         for m in range(n, hi + 1):
             exact = inner_product_exact(n, m, family, weight)
-            numeric = inner_product_numeric(n, m, family, weight) \
-                if with_numeric else None
+            numeric = float(block[n - lo, m - lo]) if with_numeric else None
             entries[(n, m)] = GramEntry(n, m, exact, numeric)
     return GramMatrix(lo, hi, entries)
 

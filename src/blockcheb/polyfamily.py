@@ -235,12 +235,11 @@ class Triangle:
     def __init__(self, family: Family):
         self.family = family
         self._rows: list[tuple[int, ...]] = []
-        # Row m + d reads the last min(p, d) degrees, and d <= MAX_ROW.
-        self._weights = [binomial(family.p, j)
-                         for j in range(1, min(family.p, MAX_ROW) + 1)]
+        # C(p, 1..min(p, d)): row m + d reads the last min(p, d) degrees.
+        self._weights: list[int] = []
         # The coefficients [x^t] Q_a, a = 0..t, of the last
-        # min(p, MAX_ROW) degrees t, newest first.
-        self._recent: deque[list[int]] = deque(maxlen=len(self._weights))
+        # min(p, MAX_ROW) degrees t (d <= MAX_ROW), newest first.
+        self._recent: deque[list[int]] = deque(maxlen=min(family.p, MAX_ROW))
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple[int, ...]:
@@ -262,6 +261,8 @@ class Triangle:
         m = self.family.m
         d = len(self._rows)
         n = m + d
+        if 0 < d <= self.family.p:
+            self._weights.append(binomial(self.family.p, d))
         level = [binomial(m, d)] + [0] * d  # [x^d] Q_a, a = 0..d
         for w, prev in zip(self._weights, self._recent):
             for a, value in enumerate(prev, 1):

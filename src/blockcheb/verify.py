@@ -43,7 +43,7 @@ from .analysis import (MAX_ROOT_DEGREE, bound_check, closed_form_zeros,
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
 from .errors import InvalidConfigError
 from .exact import PiRational, binomial
-from .orthocheck import (Weight, inner_product_exact, inner_product_numeric,
+from .orthocheck import (Weight, gram_matrix, inner_product_exact,
                          theorem_band_value)
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
                          build_by_reduction, build_by_three_term,
@@ -383,20 +383,13 @@ def check_gram_parity_q0() -> CheckResult:
                     "{count} inner products, each exactly zero")
 
 
-def _gram_gap(entry: tuple) -> float:
-    n, m, q = entry
-    w = Weight(q)
-    return abs(float(inner_product_exact(n, m, P_FAMILY, w))
-               - inner_product_numeric(n, m, P_FAMILY, w))
-
-
 def check_gram_numeric_agreement() -> CheckResult:
-    entries = [((n, m, q),) for q in (-1, 0, 1, 3)
-               for n in range(3, 16) for m in range(n, 16)]
+    gaps = {(e.n, e.m, q): abs(float(e.exact) - e.numeric)
+            for q in (-1, 0, 1, 3)
+            for e in gram_matrix((3, 15), P_FAMILY, Weight(q)).entries()}
     return _worst("gram-exact-vs-numeric", "q in {-1,0,1,3} full [3,15]",
-                  entries, _gram_gap, 1e-10, ("entry", "difference"),
-                  f"{len(entries)} entries, Gauss quadrature vs exact "
-                  f"integrals")
+                  zip(gaps), gaps.get, 1e-10, ("entry", "difference"),
+                  f"{len(gaps)} entries, Gauss quadrature vs exact integrals")
 
 
 # ------------------------------------------------------------ recurrences

@@ -295,6 +295,12 @@ def test_config_errors_exit_2(capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
         assert "digits" in err, argv
+    # A decimal exponent is read before Fraction expands it.
+    code, out, err = _run(capsys, "eval", "--n", "3", "--x", "1e-10000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: evaluation point '1e-10000000': its exponent "
+                   f"alone gives it more than {sys.get_int_max_str_digits()} "
+                   "digits, Python's limit for a decimal string\n")
     # P_201 and P_202' have degree 201: one past the root-finding limit.
     for argv in (("zeros", "--method", "numeric", "--n", "201"),
                  ("extrema", "--n", "202")):

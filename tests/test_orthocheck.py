@@ -269,17 +269,16 @@ def test_numeric_agrees_on_dense_entries():
                 assert gap <= 1e-10, (n, m, q)
 
 
-@pytest.mark.parametrize("q", [-1, 0, 1, 3])
+@pytest.mark.parametrize("q", [-1, 0, 1, 3, MAX_HALF_EXPONENT])
 def test_numeric_agrees_to_the_gram_limit(q):
     # Monomial Horner in longdouble missed the (60, 60) entry at q = -1
     # by about 1e4; the Chebyshev-basis rows keep every entry of the
-    # largest admitted range within 1e-12 relative.
-    w = Weight(q)
-    for n in range(3, MAX_GRAM_ROW + 1):
-        for m in range(n, MAX_GRAM_ROW + 1):
-            exact = float(inner_product_exact(n, m, P_FAMILY, w))
-            gap = abs(exact - inner_product_numeric(n, m, P_FAMILY, w))
-            assert gap <= 1e-12 * max(1.0, abs(exact)), (n, m)
+    # largest admitted range within 1e-12 relative, on the one Gauss
+    # rule the gram command runs.
+    for entry in gram_matrix((3, MAX_GRAM_ROW), P_FAMILY, Weight(q)).entries():
+        exact = float(entry.exact)
+        gap = abs(exact - entry.numeric)
+        assert gap <= 1e-12 * max(1.0, abs(exact)), (entry.n, entry.m)
 
 
 # ------------------------------------------------------------ gram matrix
@@ -302,6 +301,20 @@ def test_gram_matrix_symmetry_and_no_numeric():
     gm = gram_matrix((3, 6), P_FAMILY, Weight(1), with_numeric=False)
     assert gm.entry(5, 3) is gm.entry(3, 5)
     assert gm.entry(4, 4).numeric is None
+
+
+def test_gram_matrix_sums_each_row_once(monkeypatch):
+    # One Gauss rule per document, sized for its largest row: Clenshaw
+    # runs once for each row of the range, at the same nodes.
+    sizes = []
+    clenshaw = orthocheck._clenshaw
+
+    def counted(coeffs, x):
+        sizes.append(len(x))
+        return clenshaw(coeffs, x)
+    monkeypatch.setattr(orthocheck, "_clenshaw", counted)
+    gram_matrix((3, 8), P_FAMILY, Weight(1))
+    assert sizes == [orthocheck.quadrature_nodes(8, 8, Weight(1))] * 6
 
 
 def test_gram_band_report_flags_q1_corner():

@@ -170,6 +170,15 @@ def test_triangle_of_large_p_is_cheap():
                     for n in range(7)]
 
 
+def test_triangle_weights_grow_with_the_rows():
+    # Row m + d reads only C(p, 1..min(p, d)), so row 5 of a family with
+    # p = 10^63 needs five binomials, not min(p, MAX_ROW) of them.
+    fam = Family(0, 10 ** 63)
+    tri = Triangle(fam)
+    assert tri.row(5) == tuple(coefficient(5, k, fam) for k in range(6))
+    assert len(tri._weights) <= 5
+
+
 def test_row_limit():
     tri = Triangle(Family(0, 1))
     assert tri.row(MAX_ROW) == (0,) * MAX_ROW + (1,)

@@ -65,7 +65,8 @@ def test_benchmark_status_copy_matches():
 
 
 # Installs the benchmark's tracer, which wraps blockcheb functions by
-# name, then runs one traced document so the row hook reads Triangle._rows.
+# name, then runs one traced triangle document, so the row hook reads
+# Triangle._rows, and one traced gram document with its numeric column.
 _TRACED_RUN = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
@@ -79,6 +80,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert tracer.counters["polyfamily.row.rows"] == 5, tracer.counters
 assert tracer.stats["documents.build"][0] == 1, tracer.stats
+with contextlib.redirect_stdout(io.StringIO()):
+    code = blockcheb.cli.main(["gram", "--weight", "0", "--range", "3..5"])
+assert code == 0, code
 """
 
 
