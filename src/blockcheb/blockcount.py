@@ -13,8 +13,8 @@ Two independent routes compute it:
     a mask below 2^(n*p+j), so one walk of the n*p + m ground set counts
     every extra-block size j <= m at once: each hitting mask is binned by
     its bit length and popcount, and the counts for j sum the bins of bit
-    length up to n*p + j.  The tables live in one bounded slot per block
-    shape (n, p).
+    length up to n*p + j.  The tables live in one module dict, one entry
+    per block shape (n, p).
 
 Their agreement is the foundation everything else in the package is
 checked against.  The identity checkers below sweep the five published
@@ -119,29 +119,22 @@ def f_oracle(n: int, k: int, m: int, p: int) -> int:
     return counts[size]
 
 
-# One slot per block shape (n, p) holds its longest table so far, since
-# the table to extra block m holds every smaller one exactly.  With no
-# blocks p does not matter, so n = 0 has one slot; n*p <= ENUMERATION_BOUND
-# then allows at most 1 + sum_{n>=1} floor(24 / n) = 85 slots.  Two threads
-# growing one slot at once may leave the shorter table there, which is
-# still exact.
-TABLE_SLOTS = 1 + sum(ENUMERATION_BOUND // n
-                      for n in range(1, ENUMERATION_BOUND + 1))
-
-
-@lru_cache(maxsize=TABLE_SLOTS)
-def _table_slot(n: int, p: int) -> list[tuple[tuple[int, ...], ...]]:
-    return [()]
+# One table per block shape (n, p), its longest so far, since the table
+# to extra block m holds every smaller one exactly.  With no blocks p does
+# not matter, so n = 0 has one entry; n*p <= ENUMERATION_BOUND then allows
+# at most 1 + sum_{n>=1} floor(24 / n) = 85 entries.  Two threads growing
+# one entry at once may leave the shorter table there, which is still
+# exact.
+_tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 def _count_table(n: int, p: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Kernel rows of the shape (n, p) for every extra block up to m or more."""
     if not n:
         p = 1
-    slot = _table_slot(n, p)
-    table = slot[0]
+    table = _tables.get((n, p), ())
     if len(table) <= m:
-        table = slot[0] = tuple(map(tuple, _kernel(n, p, m)))
+        table = _tables[n, p] = tuple(map(tuple, _kernel(n, p, m)))
     return table
 
 

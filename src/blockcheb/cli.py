@@ -96,21 +96,23 @@ def cmd_eval(args) -> int:
     family = _family(args)
     poly = build_definitional(args.n, family)
     # Fraction expands a decimal exponent before the value can be refused
-    # (seconds at 1e-10000000); k mantissa digits, one nonzero, times 10^e
-    # leave more than |e| - k digits, so e is read from the string first.
+    # (seconds at 1e-10000000), so the mantissa is read alone, as "...e0":
+    # it is 0 at any exponent, or k digits, one nonzero, times 10^e leave
+    # more than |e| - k digits.
     limit = sys.get_int_max_str_digits()
-    parts = re.fullmatch(r"([^eE]*[1-9][^eE]*)[eE]([-+]?\d[\d_]*)\s*", args.x)
+    parts = re.fullmatch(r"([^eE]*)[eE]([-+]?\d+(?:_\d+)*\s*)", args.x)
     try:
-        past = bool(limit and parts) and abs(int(parts[2])) > \
-            limit + sum(map(str.isdigit, parts[1]))
-        x = Fraction(0 if past else args.x)
+        x = Fraction(parts[1] + "e0" if parts else args.x)
+        exponent = int(parts[2]) if parts and x else 0
     except (ValueError, ZeroDivisionError):
         raise InvalidConfigError(f"evaluation point {args.x!r} must look "
                                  f"like 1, -1/2 or 0.25") from None
-    if past:
+    if exponent and limit and \
+            abs(exponent) > limit + sum(map(str.isdigit, parts[1])):
         raise InvalidConfigError(
             f"evaluation point {args.x!r}: its exponent alone gives it more "
             f"than {limit} digits, Python's limit for a decimal string")
+    x *= Fraction(10) ** exponent
     _emit({
         "schemaVersion": SCHEMA_VERSION,
         "kind": "evaluation",
@@ -178,7 +180,7 @@ def cmd_gram(args) -> int:
     gm = gram_matrix((lo, hi), family, weight,
                      with_numeric=not args.no_numeric)
     entries = []
-    for e in gm.entries():  # gram_matrix adds them in (n, m) order
+    for e in gm.entries():  # the upper triangle, in (n, m) order
         rec = {"n": e.n, "m": e.m, **_pi_fields(e.exact)}
         if e.numeric is not None:
             rec["numeric"] = e.numeric

@@ -8,12 +8,12 @@ with half-exponent q >= -1.  The exact route stays in x and pairs the
 integer rows with the Beta moments M_2j = integral x^(2j) (1 - x^2)^(q/2)
 dx, which are rational multiples of pi for odd q and rationals for even q
 (Wallis), written as integer numerators N_j over one common
-denominator D.  Each row c = P_n gets one cached moment vector
-v[i] = sum_j c[j] N_((i+j)/2) over even i + j (a Hankel moment matrix
-times the row; Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, ch. 2), built from its own len(c) moments, so an entry
-is the shorter row dotted with the longer row's vector over that
-vector's D: one short integer dot product and one Fraction.  Odd
+denominator D.  A Gram block builds each of its rows c = P_n one moment
+vector v[i] = sum_j c[j] N_((i+j)/2) over even i + j (a Hankel moment
+matrix times the row; Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, ch. 2), from its own len(c) moments, so an entry is the
+shorter row dotted with the longer row's vector over that vector's D:
+one short integer dot product and one Fraction.  Odd
 powers of x integrate to 0 against the even weight.  The rows come
 from their integer coefficients, never from their trigonometric
 closed form, so those identities stay independent test targets.
@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -52,8 +51,9 @@ if TYPE_CHECKING:  # the numeric route imports numpy where it runs
 MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
-# 2N; 3..60 of the (2, 2) rows takes 12-35 ms exact-only in process and
-# about 65 ms with the numeric column at q = 200 (CPython 3.11, x86-64).
+# 2N; 3..60 of the (2, 2) rows takes 9-19 ms exact-only in process (q from
+# -1 to 200) and 40-65 ms with the numeric column at q = 200 (CPython 3.11,
+# x86-64).
 MAX_GRAM_ROW = 60
 
 
@@ -115,32 +115,30 @@ def _integer_moments(q: int, count: int) -> tuple[tuple[int, ...], int]:
     return tuple(numerators), bottom * suffix[0]
 
 
-# A Gram document reads the vector of each row of its range once for every
-# shorter row, so an LRU cache that cannot hold the whole range misses on
-# every entry.  A range has at most MAX_GRAM_ROW + 1 = 61 rows, so 256
-# entries hold four whole ranges.
-@lru_cache(maxsize=256)
-def _moment_vector(n: int, m: int, p: int, q: int) -> tuple[tuple[int, ...], int]:
-    """v[i] = sum_j c[j] N_((i+j)/2) over even i + j, for row n = c of
-    family (m, p), with the denominator D of its len(c) moments.
-    """
-    row = triangle(Family(m, p)).row(n)
-    numerators, denominator = _integer_moments(q, len(row))
-    vector = tuple(sum(map(mul, row[i % 2::2], numerators[(i + 1) // 2:]))
-                   for i in range(len(row)))
-    return vector, denominator
+def exact_gram(rows, family: Family, weight: Weight) -> list[list[PiRational]]:
+    """The exact Gram block of rows, in their order: each distinct row c
+    gets one vector v[i] = sum_j c[j] N_((i+j)/2) over even i + j with the
+    D of its own len(c) moments, and each unordered pair is the shorter
+    row dotted with the longer row's vector over that vector's D."""
+    q = weight.half_exponent
+    built = []
+    for n in sorted(set(rows)):
+        row = triangle(family).row(n)
+        numerators, denominator = _integer_moments(q, len(row))
+        built.append((n, row, denominator, [
+            sum(map(mul, row[i % 2::2], numerators[(i + 1) // 2:]))
+            for i in range(len(row))]))
+    values = {}
+    for a, (n, row, _, _) in enumerate(built):
+        for m, _, denominator, vector in built[a:]:
+            total = Fraction(sum(map(mul, row, vector)), denominator)
+            values[n, m] = values[m, n] = PiRational(total, Fraction(0)) \
+                if q % 2 else PiRational(Fraction(0), total)
+    return [[values[n, m] for m in rows] for n in rows]
 
 
 def inner_product_exact(n: int, m: int, family: Family, weight: Weight) -> PiRational:
-    """The shorter row dotted with the longer row's moment vector."""
-    short, long = sorted((n, m))
-    row = triangle(family).row(short)
-    vector, denominator = _moment_vector(long, family.m, family.p,
-                                         weight.half_exponent)
-    total = Fraction(sum(map(mul, row, vector)), denominator)
-    if weight.half_exponent % 2:
-        return PiRational(total, Fraction(0))
-    return PiRational(Fraction(0), total)
+    return exact_gram((n, m), family, weight)[0][1]
 
 
 def _chebyshev_row(row: tuple[int, ...]) -> np.ndarray:
@@ -251,24 +249,34 @@ class BandPattern:
 
 
 class GramMatrix:
-    def __init__(self, lo: int, hi: int,
-                 entries: dict[tuple[int, int], GramEntry]):
+    """The exact Gram block of rows lo..hi, with its numeric twin or None."""
+
+    def __init__(self, lo: int, hi: int, exact: list[list[PiRational]],
+                 numeric: np.ndarray | None):
         self.lo = lo
         self.hi = hi
-        self._entries = entries
+        self._exact = exact
+        self._numeric = numeric
 
     def entry(self, n: int, m: int) -> GramEntry:
-        return self._entries[(n, m)] if (n, m) in self._entries \
-            else self._entries[(m, n)]
+        n, m = sorted((n, m))
+        if n < self.lo or m > self.hi:
+            raise KeyError(f"({n}, {m}) outside rows {self.lo}..{self.hi}")
+        i, j = n - self.lo, m - self.lo
+        numeric = None if self._numeric is None else float(self._numeric[i, j])
+        return GramEntry(n, m, self._exact[i][j], numeric)
 
-    def entries(self):
-        return list(self._entries.values())
+    def entries(self) -> list[GramEntry]:
+        """The upper triangle, in (n, m) order."""
+        return [self.entry(n, m) for n in range(self.lo, self.hi + 1)
+                for m in range(n, self.hi + 1)]
 
     def band_report(self) -> dict[int, BandPattern]:
         report = {}
-        for offset in range(self.hi - self.lo + 1):
-            cells = [(n, n + offset, self.entry(n, n + offset).exact)
-                     for n in range(self.lo, self.hi - offset + 1)]
+        lo, block = self.lo, self._exact
+        for offset in range(len(block)):
+            cells = [(lo + i, lo + i + offset, block[i][i + offset])
+                     for i in range(len(block) - offset)]
             # Fractions are in lowest terms, so equal values have equal
             # integer keys, which hash and compare in C; a PiRational
             # hashes two Fractions in Python.
@@ -296,14 +304,10 @@ def gram_matrix(n_range: tuple[int, int], family: Family, weight: Weight,
     if hi > MAX_GRAM_ROW:
         raise InvalidConfigError(
             f"gram row {hi} above the Gram limit {MAX_GRAM_ROW}")
-    block = with_numeric and numeric_gram(range(lo, hi + 1), family, weight)
-    entries = {}
-    for n in range(lo, hi + 1):
-        for m in range(n, hi + 1):
-            exact = inner_product_exact(n, m, family, weight)
-            numeric = float(block[n - lo, m - lo]) if with_numeric else None
-            entries[(n, m)] = GramEntry(n, m, exact, numeric)
-    return GramMatrix(lo, hi, entries)
+    rows = range(lo, hi + 1)
+    return GramMatrix(lo, hi, exact_gram(rows, family, weight),
+                      numeric_gram(rows, family, weight) if with_numeric
+                      else None)
 
 
 def theorem_band_value(offset: int, weight: Weight) -> PiRational:

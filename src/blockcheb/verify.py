@@ -43,8 +43,7 @@ from .analysis import (MAX_ROOT_DEGREE, bound_check, closed_form_zeros,
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
 from .errors import InvalidConfigError
 from .exact import PiRational, binomial
-from .orthocheck import (Weight, gram_matrix, inner_product_exact,
-                         theorem_band_value)
+from .orthocheck import Weight, exact_gram, gram_matrix, theorem_band_value
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
                          build_by_reduction, build_by_three_term,
                          build_definitional,
@@ -358,10 +357,11 @@ def check_bound_monic_sup() -> CheckResult:
 
 def _gram_pattern_check(q: int) -> CheckResult:
     w = Weight(q)
+    block = exact_gram(range(3, 16), P_FAMILY, w)
     return _compare(f"gram-pattern-q{q}",
                     f"n,m in [3,15], weight (1-x^2)^({q}/2)",
                     ((n, m) for n in range(3, 16) for m in range(n, 16)),
-                    lambda n, m: inner_product_exact(n, m, P_FAMILY, w),
+                    lambda n, m: block[n - 3][m - 3],
                     lambda n, m: theorem_band_value(m - n, w),
                     ("n", "m"), ("got", "pattern"),
                     "exact PiRational comparison against the published "
@@ -374,11 +374,11 @@ check_gram_q3 = partial(_gram_pattern_check, 3)
 
 
 def check_gram_parity_q0() -> CheckResult:
-    w = Weight(0)
+    block = exact_gram(range(3, 16), P_FAMILY, Weight(0))
     zero = PiRational.of(0)
     return _compare("gram-parity-q0", "opposite-parity n,m in [3,15], weight 1",
                     ((n, m) for n in range(3, 16) for m in range(n + 1, 16, 2)),
-                    lambda n, m: inner_product_exact(n, m, P_FAMILY, w),
+                    lambda n, m: block[n - 3][m - 3],
                     lambda n, m: zero, ("n", "m"), ("got", "expected"),
                     "{count} inner products, each exactly zero")
 

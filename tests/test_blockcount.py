@@ -15,9 +15,9 @@ import pytest
 
 from blockcheb import _subsetcount_py, blockcount, cli
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
-                                  TABLE_SLOTS, _configurations,
-                                  _f_closed_raw, _kernel, check_identity,
-                                  f_closed, f_oracle, sweep_oracle_vs_closed)
+                                  _configurations, _f_closed_raw, _kernel,
+                                  check_identity, f_closed, f_oracle,
+                                  sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
 
 ORACLE_DIGESTS = Path(__file__).parent / "data" / "golden" / "oracle_sha256.txt"
@@ -133,16 +133,15 @@ def test_count_tables_stay_bounded(monkeypatch):
         walks.append((n, p, m))
         return _kernel(n, p, m)
     monkeypatch.setattr(blockcount, "_kernel", counting_kernel)
-    blockcount._table_slot.cache_clear()
+    blockcount._tables.clear()
     for p in range(1, 40):
         assert f_oracle(0, 1, 3, p) == 3
-    assert blockcount._table_slot.cache_info().currsize == 1
+    assert list(blockcount._tables) == [(0, 1)]
     walks.clear()
     sweep_oracle_vs_closed(max_ground=10, p_max=10)
     shapes = {(n, p if n else 1) for p in range(1, 11)
               for n in range(10 // p + 1)}
-    info = blockcount._table_slot.cache_info()
-    assert info.currsize == len(shapes) <= info.maxsize == TABLE_SLOTS == 85
+    assert set(blockcount._tables) == shapes
     # One walk per shape, at its largest extra block.
     assert sorted(walks) == sorted((n, p, 10 - n * p) for n, p in shapes)
 
@@ -151,13 +150,14 @@ def test_sweep_rejects_bound_before_enumerating(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("kernel called before the bound check")
     monkeypatch.setattr(blockcount, "_kernel", no_kernel)
-    blockcount._table_slot.cache_clear()
+    blockcount._tables.clear()
     with pytest.raises(GroundSetTooLargeError, match="max_ground 40"):
         sweep_oracle_vs_closed(max_ground=40)
     with pytest.raises(GroundSetTooLargeError):
         sweep_oracle_vs_closed(max_ground=ENUMERATION_BOUND + 1, p_max=1)
     with pytest.raises(GroundSetTooLargeError, match="p_max 25"):
         sweep_oracle_vs_closed(max_ground=2, p_max=ENUMERATION_BOUND + 1)
+    assert not blockcount._tables
 
 
 def test_oracle_respects_enumeration_bound():

@@ -16,6 +16,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,24 @@ def test_eval_exact_fraction(capsys):
     assert code == 0
     assert payload["exact"] == "3/4"
     assert payload["decimal"] == 0.75
+
+
+def test_eval_reads_the_exponent_apart_from_the_mantissa(capsys):
+    # A zero mantissa is 0 whatever its exponent; Fraction would first
+    # build 10^10000000, which took seconds.
+    _, zero = _run_json(capsys, "eval", "--n", "3", "--x", "0")
+    for point in ("0e-10000000", "-0.00E+9_999_999 "):
+        start = time.perf_counter()
+        code, payload = _run_json(capsys, "eval", "--n", "3", "--x", point)
+        assert time.perf_counter() - start < 0.5, point
+        assert (code, payload) == (0, zero), point
+    _, quarter = _run_json(capsys, "eval", "--n", "3", "--x", "1/400")
+    assert _run_json(capsys, "eval", "--n", "3", "--x", "2.5e-3")[1] == quarter
+    for point in ("1/0", "0x10", "1/2e5", "0e5/2", "0e1__0"):
+        code, out, err = _run(capsys, "eval", "--n", "3", "--x", point)
+        assert (code, out) == (2, ""), point
+        assert err == (f"error: evaluation point {point!r} must look like "
+                       "1, -1/2 or 0.25\n")
 
 
 def test_zeros_closed_form_labels(capsys):

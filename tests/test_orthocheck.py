@@ -100,27 +100,41 @@ def test_integer_route_matches_per_term_fraction_sum(q):
             assert inner_product_exact(n, m, family, w) == want, (family, n, m)
 
 
-def test_moment_vector_cache_is_bounded():
-    # It must hold every row of one Gram range, or the LRU order makes
-    # every entry of gram_matrix miss.
-    cache = orthocheck._moment_vector
-    assert cache.cache_info().maxsize == 256
-    assert cache.cache_info().maxsize >= MAX_GRAM_ROW + 1
-    cache.cache_clear()
-    gram_matrix((3, MAX_GRAM_ROW), P_FAMILY, Weight(5), with_numeric=False)
-    info = cache.cache_info()
-    assert info.currsize == MAX_GRAM_ROW - 2
-    assert info.misses == MAX_GRAM_ROW - 2
+@pytest.mark.parametrize("q", [-1, 0, 5])
+@pytest.mark.parametrize("family", [P_FAMILY, Family(3, 3)])
+def test_exact_gram_of_unsorted_repeated_rows(family, q):
+    # Mixed lengths in no order, one row twice: every cell of both
+    # triangles is the per-term sum of its own pair.
+    w = Weight(q)
+    rows = (60, 3, 10, 3)
+    block = orthocheck.exact_gram(rows, family, w)
+    for i, n in enumerate(rows):
+        for j, m in enumerate(rows):
+            want = _per_term_fraction_sum(n, m, family, w)
+            want = PiRational(want, Fraction(0)) if q % 2 \
+                else PiRational(Fraction(0), want)
+            assert block[i][j] == want, (n, m)
+
+
+def test_exact_gram_builds_moments_once_per_row(monkeypatch):
+    lengths = []
+    moments = orthocheck._integer_moments
+
+    def counted(q, count):
+        lengths.append(count)
+        return moments(q, count)
+    monkeypatch.setattr(orthocheck, "_integer_moments", counted)
+    gram_matrix((3, 60), P_FAMILY, Weight(5), with_numeric=False)
+    assert lengths == [n + 1 for n in range(3, 61)]
 
 
 @pytest.mark.parametrize("q", [-1, 0, 1, 4])
 def test_vectors_stay_exact_when_the_moment_table_grows(q):
-    # Rows 3..10 cache their vectors over short moment tables; row 60
+    # Rows 3..10 build their vectors over short moment tables; row 60
     # builds a longer one, whose numerators and denominator differ.
     # Entries read from the old vectors and the new one must all still
     # be exact.
     w = Weight(q)
-    orthocheck._moment_vector.cache_clear()
 
     def want(n, m):
         total = _per_term_fraction_sum(n, m, P_FAMILY, w)
@@ -299,8 +313,16 @@ def test_gram_matrix_chebyshev_weight_bands():
 
 def test_gram_matrix_symmetry_and_no_numeric():
     gm = gram_matrix((3, 6), P_FAMILY, Weight(1), with_numeric=False)
-    assert gm.entry(5, 3) is gm.entry(3, 5)
+    assert gm.entry(5, 3) == gm.entry(3, 5)
     assert gm.entry(4, 4).numeric is None
+
+
+@pytest.mark.parametrize("pair", [(2, 4), (4, 7), (1, 3), (7, 2)])
+def test_gram_entry_refuses_pairs_outside_the_range(pair):
+    # Row 2 would sit at block index -1, the last row, were it not refused.
+    gm = gram_matrix((3, 6), P_FAMILY, Weight(1))
+    with pytest.raises(KeyError):
+        gm.entry(*pair)
 
 
 def test_gram_matrix_sums_each_row_once(monkeypatch):
