@@ -5,14 +5,14 @@ polynomials, with combinatorial oracles, orthogonality tables, and a CLI.
 __version__ = "0.1.0"
 
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
-from .exact import PiRational, TrigPoly, binomial
+from .exact import PiRational, binomial
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY, U_FAMILY,
                          build_definitional, coefficient, triangle)
 
 __all__ = [
     "__version__",
     "ConvergenceError", "GroundSetTooLargeError", "InvalidConfigError",
-    "PiRational", "TrigPoly", "binomial",
+    "PiRational", "binomial",
     "Family", "IntPolynomial", "P_FAMILY", "T_FAMILY", "U_FAMILY",
     "build_definitional", "coefficient", "triangle",
 ]

@@ -51,9 +51,9 @@ if TYPE_CHECKING:  # the numeric route imports numpy where it runs
 MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
-# 2N; 3..60 of the (2, 2) rows takes 9-19 ms exact-only in process (q from
-# -1 to 200) and 40-65 ms with the numeric column at q = 200 (CPython 3.11,
-# x86-64).
+# 2N; 3..60 of the (2, 2) rows takes 11-32 ms exact-only in process (q from
+# -1 to 200) and 44-70 ms with the numeric column at q = 200 (CPython 3.11,
+# x86-64, on a shared machine).
 MAX_GRAM_ROW = 60
 
 
@@ -207,7 +207,11 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 def numeric_gram(rows, family: Family, weight: Weight) -> np.ndarray:
     """The Gram block of rows in longdouble, (V * w (1-x^2)^((q+1)//2)) @ V^T
     with V the rows at one rule's nodes: N Gauss nodes are exact to degree
-    2N - 1, so a rule sized for the largest row serves every pair."""
+    2N - 1, so a rule sized for the largest row serves every pair.
+
+    The product runs silent on overflow: an entry past the longdouble range
+    only arises beside exact entries past the double range, which the gram
+    command refuses with its one error line."""
     import numpy as np
     top = max(rows)
     count = quadrature_nodes(top, top, weight)
@@ -220,7 +224,8 @@ def numeric_gram(rows, family: Family, weight: Weight) -> np.ndarray:
         x, w = _gauss_legendre(count)
     v = np.array([_clenshaw(_chebyshev_row(triangle(family).row(n)), x)
                   for n in rows])
-    return (v * (w * (1 - x * x) ** ((q + 1) // 2))) @ v.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * (w * (1 - x * x) ** ((q + 1) // 2))) @ v.T
 
 
 def inner_product_numeric(n: int, m: int, family: Family, weight: Weight) -> float:

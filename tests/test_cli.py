@@ -264,6 +264,7 @@ def test_oracle_command(capsys):
     assert payload["mismatches"] == []
 
 
+@pytest.mark.filterwarnings("error")
 def test_config_errors_exit_2(capsys):
     code, out, err = _run(capsys, "eval", "--n", "1", "--x", "0")
     assert code == 2
@@ -280,6 +281,12 @@ def test_config_errors_exit_2(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "too large" in err
+    # Rows of (0, 10^45) overflow longdouble in the numeric block too, and
+    # with warnings as errors the exact value is still the one thing reported.
+    code, out, err = _run(capsys, "gram", "--m", "0", "--p", str(10 ** 45),
+                          "--range", "0..60", "--weight", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: an exact value is too large for the decimal field\n"
     code, out, err = _run(capsys, "gram", "--range", "a..b")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
