@@ -29,7 +29,6 @@ from functools import lru_cache, partial
 from math import comb
 
 from .errors import GroundSetTooLargeError, InvalidConfigError
-from .exact import binomial
 
 BACKEND = "numpy"
 ENUMERATION_BOUND = 24
@@ -43,8 +42,8 @@ def _kernel(n: int, p: int, m: int) -> list[list[int]]:
     with an extra block of size j, for every j = 0..m.
 
     Walks every mask of the n*p + m ground set (blocks at bits
-    0..n*p-1, the size-m block last), as the reference kernel in
-    _subsetcount_py does, one chunk of masks at a time, and tests every
+    0..n*p-1, the size-m block last), as the tests' pure-Python
+    reference kernel does, one chunk of masks at a time, and tests every
     mask against every block.  Hitting masks are binned by bit length
     and popcount; a mask of bit length L lies in the ground set with
     extra block j exactly when L <= n*p + j, so row j sums the bins of
@@ -90,8 +89,9 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
     return _f_closed_raw(n, k, m, p)
 
 
-# Bounded: a verify run fills about 7k entries.  The oracle sweep calls
-# the uncached sum and adds none.
+# Bounded: a verify run fills 4,885 entries, all from the identity
+# sweeps.  The oracle sweep and polyfamily's closed-form rows call the
+# uncached sum and add none.
 @lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
@@ -146,15 +146,13 @@ def _shapes(max_ground: int, p_max: int):
 
 
 def _configurations(max_ground: int, p_max: int):
-    """Every (n, k, m, p) with n*p + m <= max_ground and 1 <= p <= p_max.
-
-    k covers every achievable subset size n + k in 0..n*p+m plus a margin
-    of one size on both ends, where every count is 0.
+    """Every (n, m, p) with n*p + m <= max_ground and 1 <= p <= p_max,
+    with its subset sizes: every achievable size n + k in 0..n*p+m plus a
+    margin of one size on both ends, where every count is 0.
     """
     for n, p in _shapes(max_ground, p_max):
         for m in range(max_ground - n * p + 1):
-            for size in range(-1, n * p + m + 2):
-                yield n, size - n, m, p
+            yield n, m, p, range(-1, n * p + m + 2)
 
 
 def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
@@ -202,31 +200,32 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     return checked, failures
 
 
-def _e3(n, k, m, p, t, drop):
+def _e3(n, m, p, t, drop):
     """Identity (3): condition on the first block, which must be hit.
 
     The printed form lets the remaining blocks drop to size p - 1
     (drop = 1); conditioning on one block keeps them at size p (drop = 0).
     """
-    return sum(binomial(p, i) * f_closed(n - 1, k - i + 1, m, p - drop)
-               for i in range(1, p + 1))
+    return [(comb(p, i), -i, n - 1, m, p - drop) for i in range(1, p + 1)]
 
 
-# Each identity: the least n and p where it applies, and its right-hand
-# side at (n, k, m, p), and t for E2.  The left side is f(n, k, m, p).
+# Each identity: the least n and p where it applies, and the terms of its
+# right-hand side at (n, m, p), and t for E2.  A term (w, shift, n', m',
+# p') adds w f(n', k', m', p') at the subset size n' + k' = n + k + shift;
+# the left side is f(n, k, m, p).  Every count argument and binomial is in
+# range where an identity applies, so nothing needs f_closed's checks.
 _IDENTITIES = {
-    "E1": (0, 1, lambda n, k, m, p, t: sum(
-        binomial(m, i) * f_closed(n, k - i, 0, p) for i in range(m + 1))),
-    "E2": (0, 1, lambda n, k, m, p, t: sum(
-        (-1) ** i * binomial(t, i) * f_closed(n, k + t, m + t - i, p)
-        for i in range(t + 1))),
+    "E1": (0, 1, lambda n, m, p, t: [
+        (comb(m, i), -i, n, 0, p) for i in range(m + 1)]),
+    "E2": (0, 1, lambda n, m, p, t: [
+        (-comb(t, i) if i % 2 else comb(t, i), t, n, m + t - i, p)
+        for i in range(t + 1)]),
     "E3-printed": (1, 2, partial(_e3, drop=1)),
     "E3-corrected": (1, 2, partial(_e3, drop=0)),
-    "E4": (0, 2, lambda n, k, m, p, t: sum(
-        binomial(n, i) * binomial(i, j) * f_closed(n - j, k - i + j, m, p - 1)
-        for i in range(n + 1) for j in range(i + 1))),
+    "E4": (0, 2, lambda n, m, p, t: [
+        (comb(n, i) * comb(i, j), -i, n - j, m, p - 1)
+        for i in range(n + 1) for j in range(i + 1)]),
 }
-IDENTITY_IDS = tuple(_IDENTITIES)
 
 
 def check_identity(identity_id: str, max_ground: int = 12):
@@ -234,25 +233,35 @@ def check_identity(identity_id: str, max_ground: int = 12):
 
     Every configuration of _configurations(max_ground, IDENTITY_P_MAX)
     where the identity applies is visited, for each t = 0..E2_T_MAX in
-    E2.  Both sides are evaluated with f_closed, whose agreement with
-    the enumeration oracle is checked separately.  Returns (number of instances checked, list of
-    failures), the shape of sweep_oracle_vs_closed.
+    E2.  Both sides are evaluated with the closed-form count, whose
+    agreement with the enumeration oracle is checked separately, one
+    row of subset sizes at a time.  Returns (number of instances
+    checked, list of failures), the shape of sweep_oracle_vs_closed.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity_id!r}")
-    n_min, p_min, rhs = _IDENTITIES[identity_id]
+    n_min, p_min, terms = _IDENTITIES[identity_id]
     ts = range(E2_T_MAX + 1) if identity_id == "E2" else (None,)
     checked = 0
     failures = []
-    for n, k, m, p in _configurations(max_ground, IDENTITY_P_MAX):
+    for n, m, p, sizes in _configurations(max_ground, IDENTITY_P_MAX):
         if n < n_min or p < p_min:
             continue
-        lhs = f_closed(n, k, m, p)
+        lhs = [_f_closed_raw(n, s - n, m, p) for s in sizes]
+        rhs = []
         for t in ts:
-            right = rhs(n, k, m, p, t)
-            checked += 1
-            if lhs != right:
-                failures.append({"n": n, "k": k, "m": m, "p": p,
-                                 **({} if t is None else {"t": t}),
-                                 "lhs": lhs, "rhs": right})
+            row = [0] * len(sizes)
+            for w, shift, n1, m1, p1 in terms(n, m, p, t):
+                row = [r + w * _f_closed_raw(n1, s + shift - n1, m1, p1)
+                       for r, s in zip(row, sizes)]
+            rhs.append(row)
+        checked += len(sizes) * len(ts)
+        if all(row == lhs for row in rhs):
+            continue
+        for s, left, *rights in zip(sizes, lhs, *rhs):
+            for t, right in zip(ts, rights):
+                if left != right:
+                    failures.append({"n": n, "k": s - n, "m": m, "p": p,
+                                     **({} if t is None else {"t": t}),
+                                     "lhs": left, "rhs": right})
     return checked, failures

@@ -76,31 +76,17 @@ class Weight:
         return f"(1-x^2)^({self.half_exponent}/2)"
 
 
-def beta_moments(weight: Weight, count: int) -> list[Fraction]:
-    """M_0, M_2, ..., M_(2 count - 2), where M_2j = integral of
-    x^(2j) (1 - x^2)^(q/2) over [-1, 1], in units of pi for odd q.
-
-    M_0 = q!!/(q+1)!! times pi for odd q and times 2 for even q (Wallis),
-    and M_(2j+2) = M_2j (2j+1)/(2j+q+3).
-    """
-    q = weight.half_exponent
-    moment = Fraction(1 if q % 2 else 2)
-    for k in range(q, 0, -2):
-        moment *= Fraction(k, k + 1)
-    moments = []
-    for j in range(count):
-        moments.append(moment)
-        moment *= Fraction(2 * j + 1, 2 * j + q + 3)
-    return moments
-
-
 def _integer_moments(q: int, count: int) -> tuple[tuple[int, ...], int]:
-    """beta_moments(Weight(q), count) as numerators over one denominator.
+    """The Beta moments M_0, M_2, ..., M_(2 count - 2) of the weight
+    (1 - x^2)^(q/2), M_2j = integral of x^(2j) (1 - x^2)^(q/2) over
+    [-1, 1] in units of pi for odd q, as integer numerators N_j over one
+    denominator D.
 
-    With M_0 = t/b (Wallis), A_j = prod_{i<j} (2i+1) and
-    S_j = prod_{j<=i<count-1} (2i+q+3), M_2j = t A_j S_j / (b S_0):
-    N_j = t A_j S_j and D = b S_0 come from running products, with no
-    gcd per term.
+    M_0 = t/b with t/b = q!!/(q+1)!! for odd q and 2 (q!!/(q+1)!!) for
+    even q (Wallis), and M_(2j+2) = M_2j (2j+1)/(2j+q+3).  With
+    A_j = prod_{i<j} (2i+1) and S_j = prod_{j<=i<count-1} (2i+q+3), that
+    gives M_2j = t A_j S_j / (b S_0): N_j = t A_j S_j and D = b S_0 come
+    from running products, with no gcd per term.
     """
     top, bottom = (1 if q % 2 else 2), 1
     for k in range(q, 0, -2):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import product, zip_longest
 
 from . import __version__
 from .analysis import (MAX_ROOT_DEGREE, bound_check, closed_form_zeros,
@@ -48,8 +48,9 @@ from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
                          build_by_reduction, build_by_three_term,
                          build_definitional,
                          build_via_t_recurrence, chebyshev_u_coefficient,
-                         coeff_recurrence_e2, coeff_recurrence_e3,
-                         coeff_triple_sum, coefficient, triangle)
+                         coeff_recurrence_e2_row, coeff_recurrence_e3_row,
+                         coeff_triple_sum_row, coefficient_row,
+                         triangle)
 
 SCHEMA_VERSION = 1
 WITNESS_CAP = 6
@@ -141,6 +142,34 @@ def _compare(check_id: str, rng: str, domain, got, want, labels: tuple,
                     lambda f: dict(zip(labels + keys, map(str, f))))
 
 
+def _compare_rows(check_id: str, rng: str, cells, got, labels: tuple,
+                  note: str, first=None) -> CheckResult:
+    """Verdict on the row got(*cell) against coefficient_row, power by
+    power.
+
+    A cell is (family, n, *rest) and both rows hold the powers 0..n;
+    first(family, n), when given, is the least power compared.  A
+    failure names (family, n, k, *rest), as labels does, then the two
+    values as got and coefficient.  Rows of unequal length fail at every
+    power past the shorter one, which reads None there.  note may use
+    {count}, the number of powers compared.
+    """
+    failures = []
+    count = 0
+    for fam, n, *rest in cells:
+        low = first(fam, n) if first else 0
+        if low > n:
+            continue
+        g, w = got(fam, n, *rest)[low:], coefficient_row(n, fam)[low:]
+        count += max(len(g), len(w))
+        if g != w:
+            failures.extend((fam, n, k, *rest, a, b) for k, (a, b)
+                            in enumerate(zip_longest(g, w), low) if a != b)
+    return _verdict(check_id, rng, failures, note.format(count=count),
+                    lambda f: dict(zip(labels + ("got", "coefficient"),
+                                       map(str, f))))
+
+
 def _powers(n: int) -> range:
     return range(n + 1)
 
@@ -148,15 +177,14 @@ def _powers(n: int) -> range:
 def _grid(ps, m_max: int, n_max: int, *axes):
     """Cells (family, n, ...) for p in ps, m <= m_max and m <= n <= n_max.
 
-    Each axis adds one coordinate, looping inside the ones before it:
-    a fixed tuple of values, or a function of n giving them.
+    Each axis, a sequence of values, adds one coordinate, looping inside
+    the ones before it.
     """
     for p in ps:
         for m in range(m_max + 1):
             fam = Family(m, p)
             for n in range(m, n_max + 1):
-                for rest in product(*(a(n) if callable(a) else a
-                                      for a in axes)):
+                for rest in product(*axes):
                     yield (fam, n, *rest)
 
 
@@ -225,11 +253,16 @@ _T_ROUTES = {f"t-recurrence(t={t})":
 
 def _route_check(check_id: str, rng: str, ps, m_max: int, n_max: int,
                  routes: dict) -> CheckResult:
-    """Rows built by each route against the definitional rows."""
-    return _compare(check_id, rng, _grid(ps, m_max, n_max, tuple(routes)),
+    """Rows built by each route against the definitional row, which is
+    built once per (family, n)."""
+    grid = list(_grid(ps, m_max, n_max))
+    rows = {(fam.m, fam.p, n): build_definitional(n, fam) for fam, n in grid}
+    return _compare(check_id, rng,
+                    ((fam, n, route) for fam, n in grid for route in routes),
                     lambda fam, n, route: routes[route](n, fam),
-                    _definitional, ("family", "n", "route"),
-                    ("got", "expected"), "{count} route comparisons")
+                    lambda fam, n, route: rows[fam.m, fam.p, n],
+                    ("family", "n", "route"), ("got", "expected"),
+                    "{count} route comparisons")
 
 
 def check_four_way_p2() -> CheckResult:
@@ -394,75 +427,67 @@ def check_gram_numeric_agreement() -> CheckResult:
 
 # ------------------------------------------------------------ recurrences
 
-def _coefficient(fam: Family, n: int, k: int, *_) -> int:
-    return coefficient(n, k, fam)
-
-
-def _e2_cells():
-    # t loops outside k, but a witness names k before t.
-    return ((fam, n, k, t) for fam, n, t, k
-            in _grid((1, 2, 3, 4), 4, 14, range(4), _powers))
+def _e2_check(check_id: str, variant: str, note: str) -> CheckResult:
+    return _compare_rows(
+        check_id, "p<=4, m<=4, n<=14, t<=3",
+        _grid((1, 2, 3, 4), 4, 14, range(4)),
+        lambda fam, n, t: coeff_recurrence_e2_row(n, fam, t, variant),
+        ("family", "n", "k", "t"), note)
 
 
 def check_coeff_e2_corrected() -> CheckResult:
-    return _compare(
-        "coeff-recurrence-E2-corrected", "p<=4, m<=4, n<=14, t<=3",
-        _e2_cells(), lambda fam, n, k, t: coeff_recurrence_e2(n, k, fam, t),
-        _coefficient, ("family", "n", "k", "t"), ("got", "coefficient"),
+    return _e2_check(
+        "coeff-recurrence-E2-corrected", "corrected",
         "{count} coefficients; t-fold coefficient recurrence with the "
         "closing counts")
 
 
 def check_coeff_e2_printed() -> CheckResult:
-    return _compare(
-        "coeff-recurrence-E2-printed", "p<=4, m<=4, n<=14, t<=3",
-        _e2_cells(),
-        lambda fam, n, k, t: coeff_recurrence_e2(n, k, fam, t,
-                                                 variant="printed"),
-        _coefficient, ("family", "n", "k", "t"), ("got", "coefficient"),
+    return _e2_check(
+        "coeff-recurrence-E2-printed", "printed",
         "{count} coefficients; verbatim published sum; exact only for p<=2 "
         "or t=0")
 
 
 def check_coeff_e3_corrected() -> CheckResult:
-    return _compare(
+    return _compare_rows(
         "coeff-recurrence-E3-corrected",
         "p in {2,3,4}, m<=4, n<=14, n+k>=2m+2, k>=1 for p>2",
-        ((fam, n, k) for fam, n, k in _grid((2, 3, 4), 4, 14, _powers)
-         if n + k >= 2 * fam.m + 2 and (fam.p == 2 or k >= 1)),
-        lambda fam, n, k: coeff_recurrence_e3(n, k, fam, "corrected"),
-        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        _grid((2, 3, 4), 4, 14),
+        lambda fam, n: coeff_recurrence_e3_row(n, fam, "corrected"),
+        ("family", "n", "k"),
         "{count} coefficients; sign-repaired recurrence; excluded are the "
         "anti-diagonal n+k=2m, where the descent has no room, and k=0 for "
-        "p>=3, where its power -1 lookup discards nonzero count mass")
+        "p>=3, where its power -1 lookup discards nonzero count mass",
+        first=lambda fam, n: max(2 * fam.m + 2 - n, int(fam.p > 2)))
 
 
 def check_coeff_e3_printed() -> CheckResult:
-    return _compare(
+    return _compare_rows(
         "coeff-recurrence-E3-printed", "p in {2,3,4}, m<=4, n<=14, all k",
-        ((fam, n, k) for fam, n, k in _grid((2, 3, 4), 4, 14, _powers)
-         if n >= 1),
-        lambda fam, n, k: coeff_recurrence_e3(n, k, fam, "printed"),
-        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+        ((fam, n) for fam, n in _grid((2, 3, 4), 4, 14) if n >= 1),
+        lambda fam, n: coeff_recurrence_e3_row(n, fam, "printed"),
+        ("family", "n", "k"),
         "{count} coefficients; verbatim published recurrence (printed sign)")
 
 
+def _triple_sum_check(check_id: str, variant: str, note: str) -> CheckResult:
+    return _compare_rows(
+        check_id, "p in {2,3,4}, m<=4, n<=12", _grid((2, 3, 4), 4, 12),
+        lambda fam, n: coeff_triple_sum_row(n, fam, variant),
+        ("family", "n", "k"), note)
+
+
 def check_triple_sum_corrected() -> CheckResult:
-    return _compare(
-        "triple-sum-corrected", "p in {2,3,4}, m<=4, n<=12",
-        _grid((2, 3, 4), 4, 12, _powers),
-        lambda fam, n, k: coeff_triple_sum(n, k, fam, variant="corrected"),
-        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+    return _triple_sum_check(
+        "triple-sum-corrected", "corrected",
         "{count} coefficients; three-fold reduction to the (0, p-1) "
         "triangle, repaired index translation")
 
 
 def check_triple_sum_printed() -> CheckResult:
-    return _compare(
-        "triple-sum-printed", "p in {2,3,4}, m<=4, n<=12",
-        _grid((2, 3, 4), 4, 12, _powers),
-        lambda fam, n, k: coeff_triple_sum(n, k, fam, variant="printed"),
-        _coefficient, ("family", "n", "k"), ("got", "coefficient"),
+    return _triple_sum_check(
+        "triple-sum-printed", "printed",
         "{count} coefficients; verbatim published triple sum")
 
 

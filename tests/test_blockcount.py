@@ -13,12 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from blockcheb import _subsetcount_py, blockcount, cli
-from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, IDENTITY_IDS,
+from blockcheb import blockcount, cli
+from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, _IDENTITIES,
                                   _configurations, _f_closed_raw, _kernel,
                                   check_identity, f_closed, f_oracle,
                                   sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
+from reference_routes import count_intersecting_by_size
 
 ORACLE_DIGESTS = Path(__file__).parent / "data" / "golden" / "oracle_sha256.txt"
 
@@ -122,8 +123,9 @@ def test_closed_form_equals_untruncated_sum():
         return sum((-1) ** i * c(n, i) * c(n * p + m - i * p, n + k)
                    for i in range(n + 1))
     closed = _f_closed_raw.__wrapped__
-    for n, k, m, p in _configurations(20, 6):
-        assert closed(n, k, m, p) == untruncated(n, k, m, p), (n, k, m, p)
+    for n, m, p, sizes in _configurations(20, 6):
+        for k in (s - n for s in sizes):
+            assert closed(n, k, m, p) == untruncated(n, k, m, p), (n, k, m, p)
 
 
 def test_count_tables_stay_bounded(monkeypatch):
@@ -209,7 +211,7 @@ def test_identity_e2_sweeps_every_t():
 
 
 def test_unknown_identity_rejected():
-    assert set(IDENTITY_IDS) == \
+    assert set(_IDENTITIES) == \
         {"E1", "E2", "E3-printed", "E3-corrected", "E4"}
     with pytest.raises(ValueError):
         check_identity("E9")
@@ -230,7 +232,7 @@ def test_numpy_and_reference_kernels_agree():
                 assert len(rows) == m + 1
                 for j, row in enumerate(rows):
                     assert row == \
-                        _subsetcount_py.count_intersecting_by_size(n, p, j)
+                        count_intersecting_by_size(n, p, j)
 
 
 def test_kernel_spans_several_chunks():
@@ -253,6 +255,6 @@ def test_kernel_rejects_ground_set_out_of_range():
 
 
 def test_fallback_kernel_shape():
-    counts = _subsetcount_py.count_intersecting_by_size(2, 2, 1)
+    counts = count_intersecting_by_size(2, 2, 1)
     assert len(counts) == 6
     assert sum(counts) == sum(f_closed(2, s - 2, 1, 2) for s in range(6))

@@ -21,11 +21,12 @@ from blockcheb import cli, orthocheck
 from blockcheb.errors import InvalidConfigError
 from blockcheb.exact import PiRational
 from blockcheb.orthocheck import (MAX_GRAM_ROW, MAX_HALF_EXPONENT, Weight,
-                                  _gauss_legendre, beta_moments,
-                                  gram_matrix, inner_product_exact,
-                                  inner_product_numeric, theorem_band_value)
+                                  _gauss_legendre, gram_matrix,
+                                  inner_product_exact, inner_product_numeric,
+                                  theorem_band_value)
 from blockcheb.polyfamily import (P_FAMILY, T_FAMILY, U_FAMILY, Family,
                                   build_definitional)
+from reference_routes import beta_moments
 
 FROZEN_GRAM = Path(__file__).parent / "data" / "gram_trigpoly.txt"
 GRAM_DIGESTS = Path(__file__).parent / "data" / "golden" / "gram_sha256.txt"
@@ -55,7 +56,7 @@ def test_weight_limit_completes_on_both_routes():
 def test_beta_moments_match_mpmath(q):
     unit = mpmath.pi if q % 2 else 1
     with mpmath.workdps(30):
-        for j, moment in enumerate(beta_moments(Weight(q), 9)):
+        for j, moment in enumerate(beta_moments(q, 9)):
             quad = mpmath.quad(
                 lambda x, j=j: x ** (2 * j) * (1 - x ** 2) ** (mpmath.mpf(q) / 2),
                 [-1, 0, 1])
@@ -82,7 +83,8 @@ def _per_term_fraction_sum(n, m, family, weight):
     pn = build_definitional(n, family)
     pm = build_definitional(m, family)
     even = (pn * pm).coeffs[::2]
-    return sum((c * mj for c, mj in zip(even, beta_moments(weight, len(even)))),
+    moments = beta_moments(weight.half_exponent, len(even))
+    return sum((c * mj for c, mj in zip(even, moments)),
                Fraction(0))
 
 

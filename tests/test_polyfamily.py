@@ -27,8 +27,9 @@ from blockcheb.polyfamily import (MAX_ROW, Family, IntPolynomial, P_FAMILY,
                                   build_via_t_recurrence,
                                   chebyshev_u_coefficient,
                                   coeff_recurrence_e2, coeff_recurrence_e3,
-                                  coeff_triple_sum, coefficient, triangle,
-                                  _coeff_any, _virtual_coeff)
+                                  coeff_triple_sum, coefficient,
+                                  coefficient_row, triangle, _coeff_any,
+                                  _virtual_coeff)
 from regen_golden import route_outputs
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -129,6 +130,39 @@ def test_triangle_created_once_under_concurrent_lookups():
         sys.setswitchinterval(interval)
         for fam in families:
             polyfamily._triangles.pop((fam.m, fam.p), None)
+
+
+def test_three_term_rows_stepped_once_under_concurrent_calls():
+    """Threads that extend one family's kept three-term rows at once get
+    the rows stepped one at a time; an unguarded extension would append a
+    row twice or step from a stale pair, and every later row would be
+    wrong."""
+    fam = Family(5, 2)
+    want = [build_definitional(n, fam) for n in range(5, 121)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            polyfamily._three_term_rows.cache_clear()
+            barrier = threading.Barrier(8)
+            got = {}
+
+            def step(start, barrier=barrier, got=got):
+                barrier.wait(timeout=10)
+                for n in range(start, 121, 8):
+                    got[n] = build_by_three_term(n, fam)
+            workers = [threading.Thread(target=step, args=(5 + k,))
+                       for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+            assert not any(w.is_alive() for w in workers)
+            assert [got[n] for n in range(5, 121)] == want
+            assert polyfamily._three_term_rows(5, "corrected") == want
+    finally:
+        sys.setswitchinterval(interval)
+        polyfamily._three_term_rows.cache_clear()
 
 
 # Triangle rows come from generating-function columns; the tests below tie
@@ -317,6 +351,37 @@ def test_virtual_coefficient_extends_past_left_edge():
     # this single unit of mass is what the printed translations drop.
     assert _coeff_any(3, -1, fam) == 0
     assert _virtual_coeff(3, -1, fam) == 1
+
+
+def test_closed_row_table_matches_f_closed():
+    """Every lookup the closed-form row table serves, against f_closed:
+    past the left edge (k < 0), right of the row and below the triangle
+    start (n < m) included, where coefficient() refuses the row."""
+    for p in range(1, 6):
+        for m in range(7):
+            fam = Family(m, p)
+            for n in range(19):
+                # Entry a is the power k = 2a + 2m - n, b = n - m - a.
+                assert polyfamily._closed_row(n, m, p) == tuple(
+                    (-1) ** (n - m - a) * f_closed(a, n - m - a, m, p)
+                    for a in range(n - m + 1))
+                for k in range(2 * m - n - 2, n + 3):
+                    a, b = (n + k) // 2 - m, (n - k) // 2
+                    want = 0
+                    if (n - k) % 2 == 0 and a >= 0 and b >= 0:
+                        want = (-1) ** b * f_closed(a, b, m, p)
+                    assert _virtual_coeff(n, k, fam) == want, (fam, n, k)
+                    assert _coeff_any(n, k, fam) == (want if k >= 0 else 0)
+                    if n >= m:
+                        assert coefficient(n, k, fam) == _coeff_any(n, k, fam)
+                if n >= m:
+                    assert coefficient_row(n, fam) == \
+                        tuple(coefficient(n, k, fam) for k in range(n + 1))
+                else:
+                    with pytest.raises(InvalidConfigError):
+                        coefficient(n, 0, fam)
+                    with pytest.raises(InvalidConfigError):
+                        coefficient_row(n, fam)
 
 
 def test_route_outputs_match_golden_digests():

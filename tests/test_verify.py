@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import blockcheb
-from blockcheb import __version__, analysis, verify
+from blockcheb import __version__, analysis, blockcount, polyfamily, verify
 from blockcheb.errors import InvalidConfigError
-from blockcheb.polyfamily import IntPolynomial, P_FAMILY, T_FAMILY
+from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
+                                  U_FAMILY, build_definitional, coefficient)
 from blockcheb.verify import (ERRATUM_CHECK_IDS, SUITES, VerifyReport,
                               run_suite)
 
@@ -240,3 +241,119 @@ def test_trig_identity_fails_on_a_corrupted_row(monkeypatch):
     assert [w["n"] for w in check.witnesses] == ["17"]
     assert check.witnesses[0]["row"] == \
         str(build(17, P_FAMILY) + IntPolynomial((0, 1)))
+
+
+def test_closed_row_table_holds_a_full_run():
+    # Every row a full run reads fits the table at once: none is evicted
+    # and built again.
+    polyfamily._closed_row.cache_clear()
+    run_suite("all")
+    info = polyfamily._closed_row.cache_info()
+    assert info.misses == info.currsize < info.maxsize
+
+
+@pytest.fixture
+def corrupt_closed_row(monkeypatch):
+    """Add 1 to c~(n0, k0) of family (m0, p0) in the closed-form row
+    table; the cached E2 rows built from it are dropped both ways."""
+    table = polyfamily._closed_row
+
+    def corrupt(n0, m0, p0, k0):
+        def corrupted(n, m, p):
+            row = table(n, m, p)
+            if (n, m, p) != (n0, m0, p0):
+                return row
+            a = (n + k0) // 2 - m
+            return row[:a] + (row[a] + 1,) + row[a + 1:]
+        monkeypatch.setattr(polyfamily, "_closed_row", corrupted)
+    polyfamily._e2_row.cache_clear()
+    yield corrupt
+    polyfamily._e2_row.cache_clear()
+
+
+def test_coeff_e2_fails_on_a_corrupted_closed_row(corrupt_closed_row):
+    value = coefficient(10, 2, U_FAMILY)
+    corrupt_closed_row(10, 0, 2, 2)
+    check = verify.check_coeff_e2_corrected()
+    assert check.status == "fail"
+    # Row 10 is the coefficient side at t >= 1 (at t = 0 both sides read
+    # it) and a lookup of rows 9, 8, 7 at t = 1, 2, 3: six cells.
+    assert [(w["n"], w["k"], w["t"]) for w in check.witnesses] == [
+        ("7", "5", "3"), ("8", "4", "2"), ("9", "3", "1"),
+        ("10", "2", "1"), ("10", "2", "2"), ("10", "2", "3")]
+    assert check.witnesses[3] == {
+        "family": "(m=0, p=2)", "n": "10", "k": "2", "t": "1",
+        "got": str(value), "coefficient": str(value + 1)}
+
+
+def test_four_way_fails_on_a_corrupted_left_edge(corrupt_closed_row):
+    # Power -1 of row 11 of (0, 2) is a virtual coefficient: the t-fold
+    # recurrence of (0, 2) shifts it into rows 10, 9, 8 (t = 1, 2, 3) and
+    # the reduction of every (m, 2), m >= 1, into m rows from 11 + m up.
+    corrupt_closed_row(11, 0, 2, -1)
+    check = verify.check_four_way_p2()
+    assert check.status == "fail"
+    assert check.note.endswith("18 further witnesses suppressed")
+    assert [(w["family"], w["n"], w["route"]) for w in check.witnesses] == [
+        ("(m=0, p=2)", "8", "t-recurrence(t=3)"),
+        ("(m=0, p=2)", "9", "t-recurrence(t=2)"),
+        ("(m=0, p=2)", "10", "t-recurrence(t=1)"),
+        ("(m=1, p=2)", "12", "reduction"),
+        ("(m=2, p=2)", "13", "reduction"),
+        ("(m=2, p=2)", "14", "reduction")]
+    row = build_definitional(10, U_FAMILY)
+    assert check.witnesses[2]["got"] == str(row + IntPolynomial((1,)))
+    assert check.witnesses[2]["expected"] == str(row)
+
+
+def test_four_way_fails_on_a_corrupted_three_term_row(monkeypatch):
+    fam = Family(3, 2)
+    rows = [polyfamily.build_by_three_term(n, fam) for n in range(3, 31)]
+    rows[12 - 3] += IntPolynomial((0, 1))
+    sequences = polyfamily._three_term_rows
+    monkeypatch.setattr(
+        polyfamily, "_three_term_rows",
+        lambda m, variant: rows if (m, variant) == (3, "corrected")
+        else sequences(m, variant))
+    check = verify.check_four_way_p2()
+    assert check.status == "fail"
+    assert check.witnesses == (
+        {"family": "(m=3, p=2)", "n": "12", "route": "three-term",
+         "got": str(rows[12 - 3]),
+         "expected": str(build_definitional(12, fam))},)
+
+
+def test_identity_e2_fails_on_a_corrupted_count(monkeypatch):
+    count = blockcount._f_closed_raw
+    monkeypatch.setattr(
+        blockcount, "_f_closed_raw",
+        lambda n, k, m, p: count(n, k, m, p) + ((n, k, m, p) == (2, 1, 0, 2)))
+    check = verify.check_identity_e2()
+    assert check.status == "fail"
+    # f(2, 1, 0, 2) = 4 is the left side at t >= 1 (at t = 0 both sides
+    # read it) and the t-th right-hand term of k = 1 - t, t = 1, 2, 3.
+    assert [(w["k"], w["t"]) for w in check.witnesses] == [
+        ("-2", "3"), ("-1", "2"), ("0", "1"), ("1", "1"), ("1", "2"),
+        ("1", "3")]
+    assert check.witnesses[3] == {"n": "2", "k": "1", "m": "0", "p": "2",
+                                  "t": "1", "lhs": "5", "rhs": "4"}
+
+
+def test_row_compare_fails_on_unequal_lengths(monkeypatch):
+    # A row one power too long or too short fails at that power, which
+    # reads None on the shorter side; zip alone would pass the long one.
+    rows = verify.coeff_recurrence_e3_row
+
+    def resized(n, family, variant):
+        row = rows(n, family, variant)
+        if family == P_FAMILY and n in (5, 6):
+            return row + (0,) if n == 5 else row[:-1]
+        return row
+    monkeypatch.setattr(verify, "coeff_recurrence_e3_row", resized)
+    check = verify.check_coeff_e3_corrected()
+    assert check.status == "fail"
+    assert check.witnesses == (
+        {"family": "(m=2, p=2)", "n": "5", "k": "6", "got": "0",
+         "coefficient": "None"},
+        {"family": "(m=2, p=2)", "n": "6", "k": "6", "got": "None",
+         "coefficient": str(coefficient(6, 6, P_FAMILY))})
