@@ -89,6 +89,7 @@ DOCUMENT_COMMANDS = [
     "eval --m 3 --p 3 --n 10 --x 3",
     "eval --m 2 --p 2 --n 400 --x 1/3",
     *(f"zeros --m 2 --p 2 --n {n}" for n in (3, 4, 8, 41, 200)),
+    "triangle --m 2 --p 2 --max-n 200 --format json",
 ]
 
 # Help, version and usage errors, with every command's help among them.
