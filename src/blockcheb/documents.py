@@ -6,7 +6,9 @@ silently round native numbers long before that.
 
 Formats:
   json   - versioned structured document, the only format read back
-           (by the cache)
+           (by the cache); written as json.dumps(indent=2) would, each
+           row's coefficients in one str.join, which is why from_json
+           refuses coefficients that are not decimal integer strings
   csv    - one triangle row per line, n first, after a comment line
            carrying (m, p) and the generator version
   bfile  - OEIS b-file: "index value" pairs, 1-based contiguous index,
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -72,15 +75,53 @@ def build_document(family: Family, max_n: int) -> TriangleDocument:
 
 
 def to_json(doc: TriangleDocument) -> str:
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "triangle",
-        "m": doc.m,
-        "p": doc.p,
-        "rows": [{"n": n, "coeffs": list(coeffs)} for n, coeffs in doc.rows],
-        "metadata": {"oeisRefs": list(doc.oeis), "generator": doc.generator},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The document as json.dumps(indent=2) writes its payload
+    {schemaVersion, kind, m, p, rows: [{n, coeffs}], metadata: {oeisRefs,
+    generator}}, plus a newline, but without that pure-Python encoder.
+
+    Coefficients are decimal strings (decimals() writes them, from_json
+    refuses any other), so they need no escaping and each row's list is
+    one str.join.  Every row holds n + 1 >= 1 of them.  The metadata,
+    whose strings may need escaping, still goes through json.dumps.
+    """
+    rows = ",\n".join(
+        f'    {{\n      "n": {n},\n      "coeffs": [\n        "'
+        + '",\n        "'.join(coeffs) + '"\n      ]\n    }'
+        for n, coeffs in doc.rows)
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    metadata = json.dumps({"oeisRefs": list(doc.oeis),
+                           "generator": doc.generator},
+                          indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n'
+            f'  "kind": "triangle",\n  "m": {doc.m},\n  "p": {doc.p},\n'
+            f'  "rows": {rows},\n  "metadata": {metadata}\n}}\n')
+
+
+_DECIMAL_ROW = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+def _decimal_row(coeffs) -> tuple[str, ...]:
+    """A stored row's coefficients, refused unless a list of what
+    decimals() writes: a minus sign at most and ASCII digits, a JSON
+    string that needs no escaping.  The row is matched at once, joined
+    by commas; the comma count catches a comma inside one coefficient."""
+    try:
+        joined = ",".join(coeffs) if isinstance(coeffs, list) else ""
+    except TypeError:  # a coefficient that is not a string
+        joined = ""
+    if not (_DECIMAL_ROW.fullmatch(joined)
+            and joined.count(",") == len(coeffs) - 1):
+        raise InvalidConfigError(
+            "a row's coefficients are not decimal integer strings")
+    return tuple(coeffs)
+
+
+def _integer(value):
+    """A stored m, p or n, refused unless an int: true == 1 would pass
+    the cache's row checks, and to_json would write it as True."""
+    if type(value) is not int:
+        raise InvalidConfigError(f"{value!r} is not an integer")
+    return value
 
 
 def from_json(text: str) -> TriangleDocument:
@@ -88,10 +129,11 @@ def from_json(text: str) -> TriangleDocument:
     if payload.get("schemaVersion") != SCHEMA_VERSION:
         raise InvalidConfigError(
             f"unsupported schemaVersion {payload.get('schemaVersion')!r}")
-    rows = tuple((r["n"], tuple(r["coeffs"])) for r in payload["rows"])
+    rows = tuple((_integer(r["n"]), _decimal_row(r["coeffs"]))
+                 for r in payload["rows"])
     meta = payload.get("metadata", {})
-    return TriangleDocument(payload["m"], payload["p"], rows,
-                            tuple(meta.get("oeisRefs", ())),
+    return TriangleDocument(_integer(payload["m"]), _integer(payload["p"]),
+                            rows, tuple(meta.get("oeisRefs", ())),
                             meta.get("generator", ""))
 
 

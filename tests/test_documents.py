@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,35 @@ def test_json_round_trip():
     assert payload["kind"] == "triangle"
     assert payload["rows"][0] == {"n": 2, "coeffs": ["0", "0", "1"]}
     assert from_json(text) == doc
+
+
+def _dumps_reference(doc: TriangleDocument) -> str:
+    """The document as json.dumps writes its payload dict."""
+    payload = {
+        "schemaVersion": SCHEMA_VERSION,
+        "kind": "triangle",
+        "m": doc.m,
+        "p": doc.p,
+        "rows": [{"n": n, "coeffs": list(coeffs)} for n, coeffs in doc.rows],
+        "metadata": {"oeisRefs": list(doc.oeis), "generator": doc.generator},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps(tmp_path):
+    docs = [build_document(Family(m, p), max_n)
+            for m in range(7) for p in range(1, 6)
+            for max_n in sorted({m, m + 1, 25})]
+    docs.append(replace(docs[0], rows=()))
+    cache = TriangleCache(str(tmp_path))
+    cache.document(P_FAMILY, 12)
+    docs.append(cache.document(P_FAMILY, 7))
+    docs.extend(replace(docs[-1], generator=generator, oeis=oeis)
+                for generator in ('block"cheb \\ é', "")
+                for oeis in ((), ("A136388", 'A"1\\é')))
+    for doc in docs:
+        assert to_json(doc) == _dumps_reference(doc), (doc.m, doc.p,
+                                                       len(doc.rows))
 
 
 def test_coefficients_travel_as_strings():
@@ -138,8 +168,13 @@ def _stored_rows(rows) -> bytes:
     b"\xff\xfe\x00",
     _stored_rows([{"n": 9, "coeffs": ["1"]}]),
     _stored_rows([{"n": "x", "coeffs": ["1"]}]),
+    _stored_rows([{"n": 2, "coeffs": ["0", 0, "1"]}]),
+    _stored_rows([{"n": 2, "coeffs": ["0", '0"', "1"]}]),
+    _stored_rows([{"n": 2, "coeffs": ["0", "\u0663", "1"]}]),
+    _stored_rows([{"n": 2, "coeffs": ["0", None, "1"]}]),
 ], ids=["bad-json", "list", "rows-not-a-list", "not-utf8", "row-off-the-family",
-        "row-not-a-number"])
+        "row-not-a-number", "coeff-a-number", "coeff-with-quote",
+        "coeff-arabic-digit", "coeff-null"])
 def test_cache_discards_corrupt_file(tmp_path, payload):
     cache = TriangleCache(str(tmp_path))
     cache.document(P_FAMILY, 5)
@@ -147,6 +182,18 @@ def test_cache_discards_corrupt_file(tmp_path, payload):
     path.write_bytes(payload)
     assert cache.load(P_FAMILY) is None
     assert cache.document(P_FAMILY, 5).rows[0][0] == 2
+
+
+def test_cache_discards_boolean_row_index(tmp_path):
+    # true == 1, so the (1, 2) cache's row checks alone would pass it.
+    (tmp_path / "triangle_m1_p2.json").write_text(json.dumps(
+        {"schemaVersion": SCHEMA_VERSION, "m": 1, "p": 2,
+         "rows": [{"n": True, "coeffs": ["0", "1"]}],
+         "metadata": {"generator": f"blockcheb {__version__}"}}),
+        encoding="utf-8")
+    cache = TriangleCache(str(tmp_path))
+    assert cache.load(Family(1, 2)) is None
+    assert type(cache.document(Family(1, 2), 1).rows[0][0]) is int
 
 
 def test_cache_rejects_row_before_start(tmp_path):
