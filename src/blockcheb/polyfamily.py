@@ -16,16 +16,18 @@ extended by one coefficient per row (see Triangle).  Everything else
 reads the closed form f_closed instead, one whole row at a time: the
 table _closed_row holds the signed counts of a row for every power where
 one can be nonzero, left-edge mass included.  coefficient(), the
-boundary terms of the corrected constructions and the coefficient
+left-edge terms of the corrected constructions and the per-coefficient
 recurrences are index reads into it, so the triangle is checked against
 a route it does not share.
 
 Besides the definitional route the module implements the three published
 alternative constructions (reduction to the m = 0 family, the p = 2
 three-term recurrence, and the t-fold recurrence) plus the published
-coefficient recurrences.  The constructions sum whole shifted rows, and
-the E2 and E3 coefficient recurrences are evaluated for a whole row at
-once (_e2_row, _e3_row); their per-coefficient forms read that row.  The
+coefficient recurrences.  The constructions sum whole shifted triangle
+rows, and so do the row forms of the E2 and E3 recurrences (identity (2)
+yields both E2 and the t-fold recurrence); the per-coefficient forms
+spell each printed sum out through the closed-form table, so a row form
+checked against coefficient_row meets a route it does not share.  The
 triple sum stays one power at a time, since its corrected outer range
 depends on the power, over base-family rows a whole row fetches once.
 Where a published formula disagrees with the oracle-validated triangle,
@@ -197,9 +199,9 @@ def coefficient_row(n: int, family: Family) -> tuple[int, ...]:
                          n + 1))
 
 
-# Bounded: a full verify run builds 734 rows and reads them about 15,000
-# times, in the corrected routes, the coefficient recurrences and the
-# coefficient side of every recurrence check.
+# Bounded: a full verify run builds 380 rows and reads them about 7,300
+# times, in the p >= 3 left edges of the corrected constructions, the
+# triple sums and the coefficient side of every recurrence check.
 @lru_cache(maxsize=1 << 12)
 def _closed_row(n: int, m: int, p: int) -> tuple[int, ...]:
     """The signed counts c~(n, k) of row n of family (m, p) at the powers
@@ -216,15 +218,6 @@ def _closed_row(n: int, m: int, p: int) -> tuple[int, ...]:
     d = n - m
     return tuple(-count(a, b, m, p) if b % 2 else count(a, b, m, p)
                  for a, b in zip(range(d + 1), range(d, -1, -1)))
-
-
-def _at(row: tuple[int, ...], n: int, m: int, k: int) -> int:
-    """The power-k coefficient of a row stored as _closed_row stores row n
-    of a family with this m, 0 where nothing is stored."""
-    if (n - k) % 2:
-        return 0
-    a = (n + k) // 2 - m
-    return row[a] if 0 <= a < len(row) else 0
 
 
 def _window(row: tuple[int, ...], n: int, m: int, low: int,
@@ -251,7 +244,9 @@ def _virtual_coeff(n: int, k: int, family: Family) -> int:
     this mass; it is nonzero only once p >= 3.  Each corrected variant
     is its printed sum read through this lookup instead of _coeff_any.
     """
-    return _at(_closed_row(n, family.m, family.p), n, family.m, k)
+    row = _closed_row(n, family.m, family.p)
+    a = (n + k) // 2 - family.m
+    return row[a] if (n - k) % 2 == 0 and 0 <= a < len(row) else 0
 
 
 def _coeff_any(n: int, k: int, family: Family) -> int:
@@ -374,19 +369,23 @@ def build_definitional(n: int, family: Family) -> IntPolynomial:
 
 
 def _shifted_row(n: int, family: Family, s: int, variant: str) -> list[int]:
-    """x^s times row n of the family, powers 0..n+s, with its powers
-    0..s-1 filled in.
+    """x^s times row n of the family, powers 0..n+s: with its powers
+    0..s-1 filled in for s > 0, and without the row's lowest -s powers
+    for s < 0.
 
     A printed proof shifts a row and reads what lands below x^s as 0.
     The row's coefficients at powers k - s < 0 are virtual coefficients
     (_virtual_coeff), and the "corrected" variant keeps them; for p <= 2
-    they all vanish and the variants coincide.
+    they all vanish by the count's range, so only p >= 3 reads them.
     """
-    if variant == "corrected" and s:
+    row = triangle(family).row(n)
+    if s < 0:
+        return list(row[-s:])
+    if variant == "corrected" and s and family.p >= 3:
         low = _window(_closed_row(n, family.m, family.p), n, family.m, -s, 0)
     else:
         low = [0] * s
-    return [*low, *triangle(family).row(n)]
+    return [*low, *row]
 
 
 def _sum_rows(length: int, terms) -> IntPolynomial:
@@ -518,47 +517,24 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
     Printed variant verbatim, every lookup past the left edge read as 0;
     the corrected variant reads those lookups through the virtual
     coefficient, which restores the count mass lost at k < t when p >= 3
-    (see build_via_t_recurrence).  Both give 0 for k < 0.  The value is
-    read off the row the sum gives for every power (_e2_row).
+    (see build_via_t_recurrence).  Both give 0 for k < 0.
     """
     if t < 0:
         raise InvalidConfigError("t must be nonnegative")
     _check_variant(variant)
     if k < 0:
         return 0
-    return _at(_e2_row(n, family.m, family.p, t, variant), n, family.m, k)
+    lookup = _coeff_any if variant == "printed" else _virtual_coeff
+    return sum((-1) ** (i + t) * comb(t, i) * lookup(
+        n + 2 * t - i, k - i, _family(family.m + t - i, family.p))
+        for i in range(t + 1))
 
 
 def coeff_recurrence_e2_row(n: int, family: Family, t: int,
                             variant: str = "corrected") -> tuple[int, ...]:
-    """coeff_recurrence_e2(n, k, family, t, variant) for k = 0..n."""
-    if t < 0:
-        raise InvalidConfigError("t must be nonnegative")
-    _check_start(n, family)
-    _check_variant(variant)
-    return tuple(_window(_e2_row(n, family.m, family.p, t, variant), n,
-                         family.m, 0, n + 1))
-
-
-# A per-coefficient sweep over k at one (n, t), as the golden route digests
-# run, reads one row per variant many times over.
-@lru_cache(maxsize=64)
-def _e2_row(n: int, m: int, p: int, t: int, variant: str) -> tuple[int, ...]:
-    """The E2 sum at every power k = 2m - n, ..., n + 2t, stored as
-    _closed_row stores row n; powers k < 0 hold 0.
-
-    Shifted by x^i, row n+2t-i of family m+t-i has its entry a at the same
-    power 2a + 2m - n, so the sum runs entry by entry over whole rows.
-    """
-    total = [0] * (n - m + t + 1)
-    for i in range(t + 1):
-        weight = -comb(t, i) if (i + t) % 2 else comb(t, i)
-        row = _closed_row(n + 2 * t - i, m + t - i, p)
-        # Entry a sits at power 2a + 2m - n, and its lookup at power
-        # 2a + 2m - n - i, which the printed sum reads as 0 below 0.
-        a = max((n + 1 + (i if variant == "printed" else 0)) // 2 - m, 0)
-        total[a:] = [b + weight * c for b, c in zip(total[a:], row[a:])]
-    return tuple(total)
+    """coeff_recurrence_e2(n, k, family, t, variant) for k = 0..n: powers
+    0..n of the t-fold recurrence, which is the same sum of rows."""
+    return _powers_to(n, build_via_t_recurrence(n, family, t, variant))
 
 
 def coeff_recurrence_e3(n: int, k: int, family: Family, variant: str) -> int:
@@ -574,39 +550,31 @@ def coeff_recurrence_e3(n: int, k: int, family: Family, variant: str) -> int:
     k = 0 the i = 1 lookup lands at power -1, whose discarded mass is
     nonzero once p >= 3 (the same window defect the other printed
     translations suffer; here it is part of the formula either way).
-    The value is read off the row the sum gives for every power
-    (_e3_row).
     """
     _check_variant(variant)
-    return _at(_e3_row(n, family.m, family.p, variant), n, family.m, k)
+    sign = 1 if variant == "printed" else -1
+    return sum(sign * (-1) ** i * comb(family.p, i)
+               * _coeff_any(n - i, k + i - 2, family)
+               for i in range(1, family.p + 1))
 
 
 def coeff_recurrence_e3_row(n: int, family: Family,
                             variant: str) -> tuple[int, ...]:
-    """coeff_recurrence_e3(n, k, family, variant) for k = 0..n."""
+    """coeff_recurrence_e3(n, k, family, variant) for k = 0..n: the rows
+    n-i shifted by x^(2-i), i <= n - m.  Both variants read every lookup
+    below power 0 as 0, so each row is shifted as printed."""
     _check_start(n, family)
     _check_variant(variant)
-    return tuple(_window(_e3_row(n, family.m, family.p, variant), n,
-                         family.m, 0, n + 1))
+    sign = 1 if variant == "printed" else -1
+    return _powers_to(n, _sum_rows(n + 1, (
+        (sign * (-1) ** i * comb(family.p, i),
+         _shifted_row(n - i, family, 2 - i, "printed"))
+        for i in range(1, min(family.p, n - family.m) + 1))))
 
 
-def _e3_row(n: int, m: int, p: int, variant: str) -> tuple[int, ...]:
-    """The E3 sum at every power k = 2m - n, ..., n, stored as _closed_row
-    stores row n; outside those powers every lookup is 0.
-
-    Entry a' of row n-i sits at power 2a' + 2m - n + i, which is the
-    lookup k + i - 2 of the power k of row n's entry a' + 1.
-    """
-    sign = -1 if variant == "printed" else 1
-    total = [0] * (n - m + 1)
-    for i in range(1, p + 1):
-        weight = sign * comb(p, i) if i % 2 else -sign * comb(p, i)
-        row = _closed_row(n - i, m, p)
-        # Lookups at a power k + i - 2 < 0 read as 0 (_coeff_any).
-        a = max((n - i + 1) // 2 - m, 0)
-        total[a + 1:len(row) + 1] = [b + weight * c for b, c
-                                     in zip(total[a + 1:], row[a:])]
-    return tuple(total)
+def _powers_to(n: int, poly: IntPolynomial) -> tuple[int, ...]:
+    # The coefficients of poly at powers 0..n.
+    return (poly.coeffs + (0,) * (n + 1))[:n + 1]
 
 
 def coeff_triple_sum(n: int, k: int, family: Family,
@@ -649,6 +617,8 @@ def coeff_triple_sum_row(n: int, family: Family,
 def _triple_sum_rows(n: int, family: Family) -> list[tuple[int, ...]]:
     # Every lookup of the triple sums of row n reads a closed-form row
     # n - u, u <= n + m, of the (0, p-1) family.
+    if family.p < 2:
+        raise InvalidConfigError(f"triple sum needs p >= 2, got p={family.p}")
     return [_closed_row(n - u, 0, family.p - 1) if u <= n else ()
             for u in range(n + family.m + 1)]
 
@@ -670,7 +640,7 @@ def _triple_sum(n: int, k: int, m: int, printed: bool, rows) -> int:
     signed_cmt = [-comb(m, t) if t % 2 else comb(m, t) for t in range(m + 1)]
     # The lookup (N, K) = (n - shift - i - t, k - shift + i - 2j + t) reads
     # the closed-form row N, rows[shift + i + t], at entry
-    # (N + K)/2 = j_top - j (_at), whatever i and t are; j stops before
+    # (N + K)/2 = j_top - j, whatever i and t are; j stops before
     # that turns negative.
     # The bounds are clipped by comparisons, not min() and max(): those
     # builtin calls were a third of the loop's time.

@@ -26,8 +26,10 @@ from blockcheb.polyfamily import (MAX_ROW, Family, IntPolynomial, P_FAMILY,
                                   build_by_three_term, build_definitional,
                                   build_via_t_recurrence,
                                   chebyshev_u_coefficient,
-                                  coeff_recurrence_e2, coeff_recurrence_e3,
-                                  coeff_triple_sum, coefficient,
+                                  coeff_recurrence_e2, coeff_recurrence_e2_row,
+                                  coeff_recurrence_e3, coeff_recurrence_e3_row,
+                                  coeff_triple_sum, coeff_triple_sum_row,
+                                  coefficient,
                                   coefficient_row, triangle, _coeff_any,
                                   _virtual_coeff)
 from regen_golden import route_outputs
@@ -529,7 +531,7 @@ def _deficit_reference(n, k, family, t):
 
 @pytest.mark.parametrize("variant", ["printed", "corrected"])
 def test_coefficient_sums_match_literal_transcriptions(variant):
-    """The hoisted sums equal the term-by-term loops on every cell,
+    """The library sums equal the literal term-by-term loops on every cell,
     witnesses included: a printed variant fails either way, so its
     status alone would not show a slip.  Powers run two past each edge
     of the row, where the sums' index bounds cut in."""
@@ -546,6 +548,33 @@ def test_coefficient_sums_match_literal_transcriptions(variant):
                         assert coeff_recurrence_e2(n, k, fam, t, variant) \
                             == _e2_reference(n, k, fam, t, variant), \
                             (fam, n, k, t)
+
+
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+def test_coefficient_recurrence_rows_match_their_terms(variant):
+    """The row forms sum shifted triangle rows and the per-coefficient
+    forms read the closed-form table term by term; they share no row
+    code, so holding them equal checks both, printed failures included."""
+    for p in range(1, 6):
+        for m in range(7):
+            fam = Family(m, p)
+            for n in range(m, 19):
+                assert coeff_recurrence_e3_row(n, fam, variant) == tuple(
+                    coeff_recurrence_e3(n, k, fam, variant)
+                    for k in range(n + 1)), (fam, n)
+                for t in range(4):
+                    assert coeff_recurrence_e2_row(n, fam, t, variant) == \
+                        tuple(coeff_recurrence_e2(n, k, fam, t, variant)
+                              for k in range(n + 1)), (fam, n, t)
+
+
+def test_triple_sum_refuses_p_below_2():
+    # Its base family (0, p - 1) would be (0, 0), which has no counts.
+    fam = Family(0, 1)
+    with pytest.raises(InvalidConfigError):
+        coeff_triple_sum(3, 1, fam)
+    with pytest.raises(InvalidConfigError):
+        coeff_triple_sum_row(3, fam, "corrected")
 
 
 def test_recurrence_variant_validation():

@@ -19,7 +19,8 @@ import blockcheb
 from blockcheb import __version__, analysis, blockcount, polyfamily, verify
 from blockcheb.errors import InvalidConfigError
 from blockcheb.polyfamily import (Family, IntPolynomial, P_FAMILY, T_FAMILY,
-                                  U_FAMILY, build_definitional, coefficient)
+                                  U_FAMILY, build_definitional, coefficient,
+                                  triangle)
 from blockcheb.verify import (ERRATUM_CHECK_IDS, SUITES, VerifyReport,
                               run_suite)
 
@@ -255,7 +256,7 @@ def test_closed_row_table_holds_a_full_run():
 @pytest.fixture
 def corrupt_closed_row(monkeypatch):
     """Add 1 to c~(n0, k0) of family (m0, p0) in the closed-form row
-    table; the cached E2 rows built from it are dropped both ways."""
+    table."""
     table = polyfamily._closed_row
 
     def corrupt(n0, m0, p0, k0):
@@ -266,9 +267,7 @@ def corrupt_closed_row(monkeypatch):
             a = (n + k0) // 2 - m
             return row[:a] + (row[a] + 1,) + row[a + 1:]
         monkeypatch.setattr(polyfamily, "_closed_row", corrupted)
-    polyfamily._e2_row.cache_clear()
-    yield corrupt
-    polyfamily._e2_row.cache_clear()
+    return corrupt
 
 
 def test_coeff_e2_fails_on_a_corrupted_closed_row(corrupt_closed_row):
@@ -276,32 +275,61 @@ def test_coeff_e2_fails_on_a_corrupted_closed_row(corrupt_closed_row):
     corrupt_closed_row(10, 0, 2, 2)
     check = verify.check_coeff_e2_corrected()
     assert check.status == "fail"
-    # Row 10 is the coefficient side at t >= 1 (at t = 0 both sides read
-    # it) and a lookup of rows 9, 8, 7 at t = 1, 2, 3: six cells.
+    # The E2 rows sum triangle rows, so the closed-form row 10 is read
+    # only as the coefficient side, once for each t.
     assert [(w["n"], w["k"], w["t"]) for w in check.witnesses] == [
-        ("7", "5", "3"), ("8", "4", "2"), ("9", "3", "1"),
-        ("10", "2", "1"), ("10", "2", "2"), ("10", "2", "3")]
-    assert check.witnesses[3] == {
+        ("10", "2", "0"), ("10", "2", "1"), ("10", "2", "2"),
+        ("10", "2", "3")]
+    assert check.witnesses[1] == {
         "family": "(m=0, p=2)", "n": "10", "k": "2", "t": "1",
         "got": str(value), "coefficient": str(value + 1)}
 
 
-def test_four_way_fails_on_a_corrupted_left_edge(corrupt_closed_row):
-    # Power -1 of row 11 of (0, 2) is a virtual coefficient: the t-fold
-    # recurrence of (0, 2) shifts it into rows 10, 9, 8 (t = 1, 2, 3) and
-    # the reduction of every (m, 2), m >= 1, into m rows from 11 + m up.
-    corrupt_closed_row(11, 0, 2, -1)
-    check = verify.check_four_way_p2()
+def test_coeff_recurrences_fail_on_a_corrupted_triangle_row():
+    # The twin of the test above: the triangle row 10 of (0, 2) is read
+    # only on the recurrence side, by the E2 rows 10 - t at power 2 + t
+    # and the E3 rows 11 and 12 (weights 2 and -1).
+    tri = triangle(U_FAMILY)
+    tri.row(12)
+    stored = tri._rows[10]
+    tri._rows[10] = stored[:2] + (stored[2] + 1,) + stored[3:]
+    try:
+        e2 = verify.check_coeff_e2_corrected()
+        e3 = verify.check_coeff_e3_corrected()
+    finally:
+        tri._rows[10] = stored
+    assert e2.status == e3.status == "fail"
+    assert [(w["n"], w["k"], w["t"]) for w in e2.witnesses] == [
+        ("7", "5", "3"), ("8", "4", "2"), ("9", "3", "1"), ("10", "2", "0")]
+    assert e2.witnesses[3] == {
+        "family": "(m=0, p=2)", "n": "10", "k": "2", "t": "0",
+        "got": str(stored[2] + 1), "coefficient": str(stored[2])}
+    assert e3.witnesses == (
+        {"family": "(m=0, p=2)", "n": "11", "k": "3",
+         "got": str(coefficient(11, 3, U_FAMILY) + 2),
+         "coefficient": str(coefficient(11, 3, U_FAMILY))},
+        {"family": "(m=0, p=2)", "n": "12", "k": "2",
+         "got": str(coefficient(12, 2, U_FAMILY) - 1),
+         "coefficient": str(coefficient(12, 2, U_FAMILY))})
+
+
+def test_three_way_fails_on_a_corrupted_left_edge(corrupt_closed_row):
+    # Power -1 of row 11 of (0, 3) is a virtual coefficient: the t-fold
+    # recurrence of (0, 3) shifts it into rows 10, 9, 8 (t = 1, 2, 3) and
+    # the reduction of every (m, 3), m >= 1, into m rows from 11 + m up
+    # to n = 16.  A p <= 2 left edge is 0 and never read.
+    corrupt_closed_row(11, 0, 3, -1)
+    check = verify.check_three_way_other_p()
     assert check.status == "fail"
-    assert check.note.endswith("18 further witnesses suppressed")
+    assert check.note.endswith("5 further witnesses suppressed")
     assert [(w["family"], w["n"], w["route"]) for w in check.witnesses] == [
-        ("(m=0, p=2)", "8", "t-recurrence(t=3)"),
-        ("(m=0, p=2)", "9", "t-recurrence(t=2)"),
-        ("(m=0, p=2)", "10", "t-recurrence(t=1)"),
-        ("(m=1, p=2)", "12", "reduction"),
-        ("(m=2, p=2)", "13", "reduction"),
-        ("(m=2, p=2)", "14", "reduction")]
-    row = build_definitional(10, U_FAMILY)
+        ("(m=0, p=3)", "8", "t-recurrence(t=3)"),
+        ("(m=0, p=3)", "9", "t-recurrence(t=2)"),
+        ("(m=0, p=3)", "10", "t-recurrence(t=1)"),
+        ("(m=1, p=3)", "12", "reduction"),
+        ("(m=2, p=3)", "13", "reduction"),
+        ("(m=2, p=3)", "14", "reduction")]
+    row = build_definitional(10, Family(0, 3))
     assert check.witnesses[2]["got"] == str(row + IntPolynomial((1,)))
     assert check.witnesses[2]["expected"] == str(row)
 
