@@ -7,7 +7,7 @@ over subsets that intersect every one of the n size-p blocks.
 Two independent routes compute it:
 
   * f_closed: the alternating binomial sum (inclusion-exclusion on the
-    set of missed blocks),
+    set of missed blocks), or a whole row of sizes in _f_closed_row,
   * f_oracle: exhaustive enumeration of subsets (uint32 masks walked in
     numpy chunks).  A subset whose extra block has size j <= m is exactly
     a mask below 2^(n*p+j), so one walk of the n*p + m ground set counts
@@ -44,26 +44,34 @@ def _kernel(n: int, p: int, m: int) -> list[list[int]]:
     Walks every mask of the n*p + m ground set (blocks at bits
     0..n*p-1, the size-m block last), as the tests' pure-Python
     reference kernel does, one chunk of masks at a time, and tests every
-    mask against every block.  Hitting masks are binned by bit length
-    and popcount; a mask of bit length L lies in the ground set with
-    extra block j exactly when L <= n*p + j, so row j sums the bins of
-    bit length up to n*p + j.
+    mask against every block in one OR-fold: ceil(log2 p) shift-OR
+    steps, each widening the span OR-ed into a bit but never past p,
+    gather each block's p bits onto its lowest bit, and a mask meets
+    every block when all n low bits are set.  Hitting masks are
+    binned by bit length and popcount; a mask of bit length L lies in
+    the ground set with extra block j exactly when L <= n*p + j, so row
+    j sums the bins of bit length up to n*p + j.
     """
     import numpy as np  # here, so commands that enumerate nothing skip it
     base = n * p
     nground = base + m
     if m < 0 or not 0 <= nground <= ENUMERATION_BOUND:
         raise ValueError("ground set out of kernel range")
-    blocks = [np.uint32(((1 << p) - 1) << (b * p)) for b in range(n)]
+    steps = []
+    reach = 1
+    while reach < p:
+        steps.append(min(reach, p - reach))
+        reach += steps[-1]
+    low = np.uint32(sum(1 << (b * p) for b in range(n)))
     width = nground + 1
     bins = np.zeros((width, width), dtype=np.int64)  # [bit length, popcount]
     total = 1 << nground
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        hit = np.ones(masks.size, dtype=bool)
-        for block in blocks:
-            hit &= (masks & block) != 0
-        masks = masks[hit]
+        fold = masks
+        for step in steps:
+            fold = fold | fold >> step
+        masks = masks[(fold & low) == low]
         sizes = np.bitwise_count(masks)
         if start:  # an aligned chunk past the first: one bit length
             bins[start.bit_length()] += np.bincount(sizes, minlength=width)
@@ -90,8 +98,8 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
 
 
 # Bounded: a verify run fills 4,885 entries, all from the identity
-# sweeps.  The oracle sweep and polyfamily's closed-form rows call the
-# uncached sum and add none.
+# sweeps.  The oracle sweep's _f_closed_row and polyfamily's
+# closed-form rows bypass it.
 @lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
@@ -104,6 +112,19 @@ def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
         term = comb(n, i) * comb(top - i * p, size)
         total += -term if i % 2 else term
     return total
+
+
+def _f_closed_row(n: int, m: int, p: int) -> list[int]:
+    """f_closed(n, s - n, m, p) for s = 0..n*p+m: the sum over i of
+    (-1)^i C(n, i) times the binomial row C(n*p + m - i*p, s)."""
+    top = n * p + m
+    row = [0] * (top + 1)
+    for i in range(n + 1):
+        size = top - i * p
+        weight = -comb(n, i) if i % 2 else comb(n, i)
+        for s in range(size + 1):
+            row[s] += weight * comb(size, s)
+    return row
 
 
 def f_oracle(n: int, k: int, m: int, p: int) -> int:
@@ -164,10 +185,11 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     is rejected before anything is enumerated.  So is a p_max past it,
     whose every p above max_ground adds only block-free shapes, as p = 1.
 
-    Each count is visited once, so the closed form is called uncached:
-    a sweep would fill _f_closed_raw with entries nothing reads.  The
-    enumeration side walks each block shape once, at its largest extra
-    block max_ground - n*p, and reads every smaller one off that table.
+    Each configuration's closed-form row is summed once, uncached, in
+    _f_closed_row and compared whole with the enumerated row; only a
+    row that differs is compared size by size.  The enumeration side
+    walks each block shape once, at its largest extra block
+    max_ground - n*p, and reads every smaller one off that table.
     """
     if max_ground < 0 or p_max < 1:
         raise InvalidConfigError(
@@ -183,20 +205,22 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     tables = {}
     for n, p in _shapes(max_ground, p_max):
         tables[n, p] = _count_table(n, p, max_ground - n * p)
-    closed_sum = _f_closed_raw.__wrapped__
     checked = 0
     failures = []
     for (n, p), table in tables.items():
         for m in range(max_ground - n * p + 1):
+            top = n * p + m
+            closed = _f_closed_row(n, m, p)
             counts = table[m]
-            for size in range(-1, n * p + m + 2):
-                k = size - n
-                closed = closed_sum(n, k, m, p)
-                oracle = counts[size] if 0 <= size < len(counts) else 0
-                checked += 1
-                if closed != oracle:
-                    failures.append({"n": n, "k": k, "m": m, "p": p,
-                                     "closed": closed, "oracle": oracle})
+            checked += top + 3
+            if tuple(closed) == counts:
+                continue
+            for size in range(-1, top + 2):
+                closed_at = closed[size] if 0 <= size < len(closed) else 0
+                oracle_at = counts[size] if 0 <= size < len(counts) else 0
+                if closed_at != oracle_at:
+                    failures.append({"n": n, "k": size - n, "m": m, "p": p,
+                                     "closed": closed_at, "oracle": oracle_at})
     return checked, failures
 
 

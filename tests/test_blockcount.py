@@ -15,9 +15,9 @@ import pytest
 
 from blockcheb import blockcount, cli
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, _IDENTITIES,
-                                  _configurations, _f_closed_raw, _kernel,
-                                  check_identity, f_closed, f_oracle,
-                                  sweep_oracle_vs_closed)
+                                  _configurations, _f_closed_raw,
+                                  _f_closed_row, _kernel, check_identity,
+                                  f_closed, f_oracle, sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
 from reference_routes import count_intersecting_by_size
 
@@ -95,6 +95,56 @@ def test_default_sweep_is_clean():
     assert failures == []
 
 
+@pytest.fixture
+def fresh_tables():
+    """Empty count tables, and none left behind, corrupted or not."""
+    blockcount._tables.clear()
+    yield
+    blockcount._tables.clear()
+
+
+def test_sweep_reports_a_corrupted_kernel_table(monkeypatch, fresh_tables):
+    # Shape (2, 2) is walked once, at m = 2; three of its counts go wrong.
+    checked, failures = sweep_oracle_vs_closed(max_ground=6, p_max=2)
+    assert failures == []
+    blockcount._tables.clear()
+
+    def corrupted_kernel(n, p, m):
+        rows = _kernel(n, p, m)
+        if (n, p) == (2, 2):
+            rows[0][0] += 1
+            rows[1][5] -= 1
+            rows[1][3] += 2
+        return rows
+    monkeypatch.setattr(blockcount, "_kernel", corrupted_kernel)
+    assert sweep_oracle_vs_closed(max_ground=6, p_max=2) == (checked, [
+        {"n": 2, "k": -2, "m": 0, "p": 2, "closed": 0, "oracle": 1},
+        {"n": 2, "k": 1, "m": 1, "p": 2,
+         "closed": f_closed(2, 1, 1, 2), "oracle": f_closed(2, 1, 1, 2) + 2},
+        {"n": 2, "k": 3, "m": 1, "p": 2, "closed": 1, "oracle": 0},
+    ])
+
+
+def test_sweep_reports_a_corrupted_closed_row(monkeypatch, fresh_tables):
+    checked, failures = sweep_oracle_vs_closed(max_ground=6, p_max=3)
+    assert failures == []
+
+    def corrupted_row(n, m, p):
+        row = _f_closed_row(n, m, p)
+        if (n, m, p) == (1, 2, 3):
+            row[4] -= 1
+            row[1] += 1
+        if (n, m, p) == (0, 6, 1):
+            row[0] = 7
+        return row
+    monkeypatch.setattr(blockcount, "_f_closed_row", corrupted_row)
+    assert sweep_oracle_vs_closed(max_ground=6, p_max=3) == (checked, [
+        {"n": 0, "k": 0, "m": 6, "p": 1, "closed": 7, "oracle": 1},
+        {"n": 1, "k": 0, "m": 2, "p": 3, "closed": 4, "oracle": 3},
+        {"n": 1, "k": 3, "m": 2, "p": 3, "closed": 4, "oracle": 5},
+    ])
+
+
 def test_oracle_documents_match_golden_digests(capsys):
     """oracle documents, byte for byte, as one kernel walk per
     configuration wrote them."""
@@ -124,8 +174,12 @@ def test_closed_form_equals_untruncated_sum():
                    for i in range(n + 1))
     closed = _f_closed_raw.__wrapped__
     for n, m, p, sizes in _configurations(20, 6):
-        for k in (s - n for s in sizes):
-            assert closed(n, k, m, p) == untruncated(n, k, m, p), (n, k, m, p)
+        want = [untruncated(n, s - n, m, p) for s in sizes]
+        assert [closed(n, s - n, m, p) for s in sizes] == want, (n, m, p)
+        # The row holds sizes 0..n*p+m, so both margins of sizes read 0.
+        row = _f_closed_row(n, m, p)
+        assert len(row) == n * p + m + 1
+        assert [0, *row, 0] == want, (n, m, p)
 
 
 def test_count_tables_stay_bounded(monkeypatch):
@@ -225,7 +279,9 @@ def test_backend_is_declared():
 
 def test_numpy_and_reference_kernels_agree():
     # Every row j <= m of one walk is a whole walk of the reference kernel.
-    for p in (1, 2, 3):
+    # p = 1..7 runs every sequence of fold steps: none for p = 1, then
+    # 1; 1,1; 1,2; 1,2,1; 1,2,2; 1,2,3.
+    for p in range(1, 8):
         for n in range(0, 4):
             for m in range(0, 12 - n * p + 1):
                 rows = _kernel(n, p, m)
@@ -238,8 +294,9 @@ def test_numpy_and_reference_kernels_agree():
 def test_kernel_spans_several_chunks():
     # (5, 3, 6): 2^21 masks, 128 chunks of 2^14.  (8, 2, 3): n*p = 16
     # exceeds the first chunk's 14 bits, so that chunk feeds only j = 0.
-    # Every row against the closed form.
-    for n, p, m in ((5, 3, 6), (8, 2, 3)):
+    # (4, 4, 1) and (2, 7, 3): 2^17 masks each, folded in two and three
+    # steps.  Every row against the closed form.
+    for n, p, m in ((5, 3, 6), (8, 2, 3), (4, 4, 1), (2, 7, 3)):
         rows = _kernel(n, p, m)
         assert len(rows) == m + 1
         for j, counts in enumerate(rows):
