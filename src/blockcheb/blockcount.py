@@ -98,8 +98,9 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
 
 
 # Bounded: a verify run fills 4,885 entries, all from the identity
-# sweeps.  The oracle sweep's _f_closed_row and polyfamily's
-# closed-form rows bypass it.
+# sweeps; polyfamily._closed_row reads the sum uncached.  The oracle
+# sweep checks _f_closed_row, not this sum, against enumeration; only
+# test_closed_form_equals_untruncated_sum ties the two.
 @lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
@@ -207,20 +208,18 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
         tables[n, p] = _count_table(n, p, max_ground - n * p)
     checked = 0
     failures = []
-    for (n, p), table in tables.items():
-        for m in range(max_ground - n * p + 1):
-            top = n * p + m
-            closed = _f_closed_row(n, m, p)
-            counts = table[m]
-            checked += top + 3
-            if tuple(closed) == counts:
-                continue
-            for size in range(-1, top + 2):
-                closed_at = closed[size] if 0 <= size < len(closed) else 0
-                oracle_at = counts[size] if 0 <= size < len(counts) else 0
-                if closed_at != oracle_at:
-                    failures.append({"n": n, "k": size - n, "m": m, "p": p,
-                                     "closed": closed_at, "oracle": oracle_at})
+    for n, m, p, sizes in _configurations(max_ground, p_max):
+        closed = _f_closed_row(n, m, p)
+        counts = tables[n, p][m]
+        checked += len(sizes)
+        if tuple(closed) == counts:
+            continue
+        for size in sizes:
+            closed_at = closed[size] if 0 <= size < len(closed) else 0
+            oracle_at = counts[size] if 0 <= size < len(counts) else 0
+            if closed_at != oracle_at:
+                failures.append({"n": n, "k": size - n, "m": m, "p": p,
+                                 "closed": closed_at, "oracle": oracle_at})
     return checked, failures
 
 
@@ -257,10 +256,10 @@ def check_identity(identity_id: str, max_ground: int = 12):
 
     Every configuration of _configurations(max_ground, IDENTITY_P_MAX)
     where the identity applies is visited, for each t = 0..E2_T_MAX in
-    E2.  Both sides are evaluated with the closed-form count, whose
-    agreement with the enumeration oracle is checked separately, one
-    row of subset sizes at a time.  Returns (number of instances
-    checked, list of failures), the shape of sweep_oracle_vs_closed.
+    E2.  Both sides read the scalar closed form _f_closed_raw, which
+    only test_closed_form_equals_untruncated_sum ties to the row form
+    the oracle sweep checks.  Returns (number of instances checked,
+    list of failures), the shape of sweep_oracle_vs_closed.
     """
     if identity_id not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity_id!r}")

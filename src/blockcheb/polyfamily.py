@@ -425,27 +425,13 @@ def build_by_reduction(n: int, family: Family,
         for i in range(min(m, n - m) + 1)))
 
 
-# One row sequence per (m, variant): the published seeds, rows m and
-# m + 1, then whatever build_by_three_term has stepped to so far.  It
-# looks the list up and grows it in place only under _three_term_lock, so
-# every caller shares the one list the cache holds.
-@lru_cache(maxsize=256)
-def _three_term_rows(m: int, variant: str) -> list[IntPolynomial]:
-    second = IntPolynomial.monomial(m + 1, 2)
-    if m >= 1:
-        second = second - IntPolynomial.monomial(m - 1, m)
-    return [IntPolynomial.monomial(m), second]
-
-
-_three_term_lock = threading.Lock()
-
-
-def build_by_three_term(n: int, family: Family,
-                        variant: str = "corrected") -> IntPolynomial:
-    """Row n via the Chebyshev-style recurrence (p = 2 families only).
+def three_term_rows(n: int, family: Family,
+                    variant: str = "corrected") -> list[IntPolynomial]:
+    """Rows m..n via the Chebyshev-style recurrence (p = 2 families only).
 
     Both variants seed with the published first two rows x^m and
-    2x^(m+1) - m x^(m-1) and iterate P(n) = 2x P(n-1) - P(n-2).
+    2x^(m+1) - m x^(m-1) and iterate P(n) = 2x P(n-1) - P(n-2), each
+    row stepped once from the two before it.
 
     The published corollary stops there ("printed" variant), but the
     bare recurrence reproduces the triangle only for m <= 1: each row
@@ -458,26 +444,30 @@ def build_by_three_term(n: int, family: Family,
     "corrected" variant adds that term, vanishes for n > 2m, and equals
     the definitional row everywhere.  The printed variant's divergence
     for m >= 2 is pinned in the regression tests.
-
-    The rows of each (m, variant) are stepped once and kept, so rows
-    m..n cost n - m steps in all, whatever order they are asked in.
     """
     if family.p != 2:
         raise InvalidConfigError("three-term recurrence applies to p = 2 only")
-    _check_start(n, family)
+    check_row(n, family)
     _check_variant(variant)
     m = family.m
-    with _three_term_lock:
-        rows = _three_term_rows(m, variant)
-        while len(rows) <= n - m:
-            deg = m + len(rows)
-            cur = rows[-1].shift(1) * 2 - rows[-2]
-            if variant == "corrected" and 2 * m - deg >= 0:
-                seam = (-1) ** (deg - m) * binomial(m, deg - m)
-                if seam:
-                    cur = cur + IntPolynomial.monomial(2 * m - deg, seam)
-            rows.append(cur)
-        return rows[n - m]
+    second = IntPolynomial.monomial(m + 1, 2)
+    if m >= 1:
+        second = second - IntPolynomial.monomial(m - 1, m)
+    rows = [IntPolynomial.monomial(m), second]
+    for deg in range(m + 2, n + 1):
+        cur = rows[-1].shift(1) * 2 - rows[-2]
+        if variant == "corrected" and 2 * m - deg >= 0:
+            seam = (-1) ** (deg - m) * binomial(m, deg - m)
+            if seam:
+                cur = cur + IntPolynomial.monomial(2 * m - deg, seam)
+        rows.append(cur)
+    return rows[:n - m + 1]
+
+
+def build_by_three_term(n: int, family: Family,
+                        variant: str = "corrected") -> IntPolynomial:
+    """Row n of three_term_rows."""
+    return three_term_rows(n, family, variant)[-1]
 
 
 def build_via_t_recurrence(n: int, family: Family, t: int,

@@ -45,12 +45,11 @@ from .errors import InvalidConfigError
 from .exact import PiRational, binomial
 from .orthocheck import Weight, exact_gram, gram_matrix, theorem_band_value
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
-                         build_by_reduction, build_by_three_term,
-                         build_definitional,
+                         build_by_reduction, build_definitional,
                          build_via_t_recurrence, chebyshev_u_coefficient,
                          coeff_recurrence_e2_row, coeff_recurrence_e3_row,
                          coeff_triple_sum_row, coefficient_row,
-                         triangle)
+                         three_term_rows, triangle)
 
 SCHEMA_VERSION = 1
 WITNESS_CAP = 6
@@ -266,9 +265,13 @@ def _route_check(check_id: str, rng: str, ps, m_max: int, n_max: int,
 
 
 def check_four_way_p2() -> CheckResult:
+    # One sequence per family, read by row: stepping each row from the
+    # seeds would repeat the steps of every row below it.
+    rows = {m: three_term_rows(30, Family(m, 2)) for m in range(7)}
     return _route_check("construction-four-way-p2", "p=2, m<=6, n<=30, t<=3",
                         (2,), 6, 30, {"reduction": build_by_reduction,
-                                      "three-term": build_by_three_term,
+                                      "three-term": lambda n, fam:
+                                      rows[fam.m][n - fam.m],
                                       **_T_ROUTES})
 
 
@@ -280,9 +283,10 @@ def check_three_way_other_p() -> CheckResult:
 
 def check_three_term_printed() -> CheckResult:
     """The three-term corollary exactly as published (no closing term)."""
+    rows = {m: three_term_rows(30, Family(m, 2), "printed") for m in range(7)}
     return _compare(
         "three-term-printed", "p=2, m<=6, n<=30", _grid((2,), 6, 30),
-        lambda fam, n: build_by_three_term(n, fam, variant="printed"),
+        lambda fam, n: rows[fam.m][n - fam.m],
         _definitional, ("family", "n"), ("printed", "definitional"),
         "{count} rows compared; printed seeds drop the closing binomial "
         "term, so rows m+2..2m disagree for m>=2")

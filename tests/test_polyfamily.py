@@ -134,39 +134,6 @@ def test_triangle_created_once_under_concurrent_lookups():
             polyfamily._triangles.pop((fam.m, fam.p), None)
 
 
-def test_three_term_rows_stepped_once_under_concurrent_calls():
-    """Threads that extend one family's kept three-term rows at once get
-    the rows stepped one at a time; an unguarded extension would append a
-    row twice or step from a stale pair, and every later row would be
-    wrong."""
-    fam = Family(5, 2)
-    want = [build_definitional(n, fam) for n in range(5, 121)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            polyfamily._three_term_rows.cache_clear()
-            barrier = threading.Barrier(8)
-            got = {}
-
-            def step(start, barrier=barrier, got=got):
-                barrier.wait(timeout=10)
-                for n in range(start, 121, 8):
-                    got[n] = build_by_three_term(n, fam)
-            workers = [threading.Thread(target=step, args=(5 + k,))
-                       for k in range(8)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=10)
-            assert not any(w.is_alive() for w in workers)
-            assert [got[n] for n in range(5, 121)] == want
-            assert polyfamily._three_term_rows(5, "corrected") == want
-    finally:
-        sys.setswitchinterval(interval)
-        polyfamily._three_term_rows.cache_clear()
-
-
 # Triangle rows come from generating-function columns; the tests below tie
 # them to routes that do not share that code.
 
@@ -292,6 +259,24 @@ def test_reduction_matches_u_composition():
 def test_three_term_requires_p2():
     with pytest.raises(InvalidConfigError):
         build_by_three_term(3, Family(0, 3))
+
+
+def test_three_term_route_stops_at_the_row_limit():
+    # The recurrence refuses the rows build_by_reduction refuses.  Rows
+    # m..n come back fresh from every call: none are kept between calls.
+    fam = Family(0, 2)
+    for build in (build_by_three_term, build_by_reduction):
+        with pytest.raises(InvalidConfigError, match="above the row limit"):
+            build(MAX_ROW + 1, fam)
+    with pytest.raises(InvalidConfigError, match="above the row limit"):
+        polyfamily.three_term_rows(MAX_ROW + 1, fam)
+    rows = polyfamily.three_term_rows(MAX_ROW, fam)
+    assert len(rows) == MAX_ROW + 1
+    assert rows[-1] == build_by_three_term(MAX_ROW, fam)
+    assert rows[:31] == [build_definitional(n, fam) for n in range(31)]
+    rows.clear()
+    assert polyfamily.three_term_rows(2, fam) == [
+        build_definitional(n, fam) for n in range(3)]
 
 
 def test_construction_argument_validation():

@@ -336,13 +336,14 @@ def test_three_way_fails_on_a_corrupted_left_edge(corrupt_closed_row):
 
 def test_four_way_fails_on_a_corrupted_three_term_row(monkeypatch):
     fam = Family(3, 2)
-    rows = [polyfamily.build_by_three_term(n, fam) for n in range(3, 31)]
+    rows = polyfamily.three_term_rows(30, fam)
     rows[12 - 3] += IntPolynomial((0, 1))
-    sequences = polyfamily._three_term_rows
+    sequences = verify.three_term_rows
     monkeypatch.setattr(
-        polyfamily, "_three_term_rows",
-        lambda m, variant: rows if (m, variant) == (3, "corrected")
-        else sequences(m, variant))
+        verify, "three_term_rows",
+        lambda n, family, variant="corrected":
+        rows if (n, family, variant) == (30, fam, "corrected")
+        else sequences(n, family, variant))
     check = verify.check_four_way_p2()
     assert check.status == "fail"
     assert check.witnesses == (
