@@ -18,13 +18,12 @@ from . import __version__
 from .analysis import (closed_form_zeros, evaluate, evaluate_exact_at_float,
                        extrema, numeric_zeros)
 from .blockcount import sweep_oracle_vs_closed
-from .documents import TriangleCache, build_document, decimals, serialize
+from .documents import (FORMATS, SCHEMA_VERSION, TriangleCache,
+                        build_document, decimals, serialize)
 from .errors import ConvergenceError, GroundSetTooLargeError, InvalidConfigError
 from .orthocheck import MAX_HALF_EXPONENT, Weight, gram_matrix
 from .polyfamily import Family, P_FAMILY, build_definitional, check_row
 from .verify import SUITES, run_suite
-
-SCHEMA_VERSION = 1
 
 
 def _family(args) -> Family:
@@ -40,8 +39,10 @@ def _parse_range(text: str) -> tuple[int, int]:
             f"range {text!r} must look like 3..8") from None
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(kind: str, **fields) -> int:
+    print(json.dumps({"schemaVersion": SCHEMA_VERSION, "kind": kind,
+                      **fields}, indent=2))
+    return 0
 
 
 def _pi_fields(value) -> dict:
@@ -82,14 +83,8 @@ def cmd_export(args) -> int:
 def cmd_poly(args) -> int:
     family = _family(args)
     poly = build_definitional(args.n, family)
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "polynomial",
-        "m": family.m, "p": family.p, "n": args.n,
-        "coeffs": list(decimals(poly.coeffs)),
-        "pretty": str(poly),
-    })
-    return 0
+    return _emit("polynomial", m=family.m, p=family.p, n=args.n,
+                 coeffs=list(decimals(poly.coeffs)), pretty=str(poly))
 
 
 def cmd_eval(args) -> int:
@@ -113,14 +108,8 @@ def cmd_eval(args) -> int:
             f"evaluation point {args.x!r}: its exponent alone gives it more "
             f"than {limit} digits, Python's limit for a decimal string")
     x *= Fraction(10) ** exponent
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "evaluation",
-        "m": family.m, "p": family.p, "n": args.n,
-        "x": decimals((x,))[0],
-        **_pi_fields(evaluate(poly, x)),
-    })
-    return 0
+    return _emit("evaluation", m=family.m, p=family.p, n=args.n,
+                 x=decimals((x,))[0], **_pi_fields(evaluate(poly, x)))
 
 
 def _closed_zero_exact(k: int, n: int) -> str:
@@ -136,27 +125,21 @@ def _closed_zero_exact(k: int, n: int) -> str:
 def cmd_zeros(args) -> int:
     family = _family(args)
     check_row(args.n, family)
-    payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "zeros",
-        "m": family.m, "p": family.p, "n": args.n,
-    }
     if (family.m, family.p) == (2, 2) and args.method != "numeric" \
             and args.n >= 3:
         rs = closed_form_zeros(args.n)
         exact = ["-1"] + [_closed_zero_exact(k, args.n)
                           for k in range(args.n - 2, 0, -1)] + ["1"]
-        payload["method"] = "closed-form"
-        payload["roots"] = [
+        method, roots = "closed-form", [
             {"exact": e, "decimal": r, "multiplicity": mult}
             for e, r, mult in zip(exact, rs.roots, rs.multiplicities)]
     else:
         rs = numeric_zeros(build_definitional(args.n, family), family)
-        payload["method"] = "numeric"
-        payload["roots"] = [{"decimal": r, "multiplicity": mult}
-                            for r, mult in zip(rs.roots, rs.multiplicities)]
-    _emit(payload)
-    return 0
+        method, roots = "numeric", [
+            {"decimal": r, "multiplicity": mult}
+            for r, mult in zip(rs.roots, rs.multiplicities)]
+    return _emit("zeros", m=family.m, p=family.p, n=args.n, method=method,
+                 roots=roots)
 
 
 def cmd_extrema(args) -> int:
@@ -164,13 +147,7 @@ def cmd_extrema(args) -> int:
     points = [{"theta": theta, "x": x,
                "value": float(evaluate_exact_at_float(poly, x))}
               for theta, x in extrema(args.n)]
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "extrema",
-        "m": 2, "p": 2, "n": args.n,
-        "points": points,
-    })
-    return 0
+    return _emit("extrema", m=2, p=2, n=args.n, points=points)
 
 
 def cmd_gram(args) -> int:
@@ -196,17 +173,9 @@ def cmd_gram(args) -> int:
         }
         if bp.uniform and not bp.value.is_zero():
             summary[str(offset)] = str(bp.value)
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "gram",
-        "m": family.m, "p": family.p,
-        "weight": weight.half_exponent,
-        "range": [lo, hi],
-        "entries": entries,
-        "bands": bands,
-        "bandSummary": summary,
-    })
-    return 0
+    return _emit("gram", m=family.m, p=family.p, weight=weight.half_exponent,
+                 range=[lo, hi], entries=entries, bands=bands,
+                 bandSummary=summary)
 
 
 def cmd_verify(args) -> int:
@@ -217,14 +186,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     checked, failures = sweep_oracle_vs_closed(args.max_ground, args.p_max)
-    _emit({
-        "schemaVersion": SCHEMA_VERSION,
-        "kind": "oracle",
-        "maxGround": args.max_ground,
-        "pMax": args.p_max,
-        "checked": checked,
-        "mismatches": failures,
-    })
+    _emit("oracle", maxGround=args.max_ground, pMax=args.p_max,
+          checked=checked, mismatches=failures)
     return 1 if failures else 0
 
 
@@ -240,7 +203,7 @@ def _family_flags(parser):
 def _triangle_flags(parser, default_format="json"):
     _family_flags(parser)
     parser.add_argument("--max-n", type=int, required=True)
-    parser.add_argument("--format", choices=("json", "csv", "bfile"),
+    parser.add_argument("--format", choices=tuple(FORMATS),
                         default=default_format)
     parser.add_argument("--cache-dir", default=None)
 

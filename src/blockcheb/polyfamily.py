@@ -74,14 +74,6 @@ class Family:
         return f"(m={self.m}, p={self.p})"
 
 
-# One shared Family per (m, p) for the recurrences, whose terms move
-# through neighbouring families; int keys skip the dataclass hash and
-# validation per term.
-@lru_cache(maxsize=256)
-def _family(m: int, p: int) -> Family:
-    return Family(m, p)
-
-
 U_FAMILY = Family(0, 2)
 T_FAMILY = Family(1, 2)
 P_FAMILY = Family(2, 2)
@@ -351,15 +343,18 @@ _triangles_lock = threading.Lock()
 
 
 def triangle(family: Family) -> Triangle:
+    return _triangle(family.m, family.p)
+
+
+def _triangle(m: int, p: int) -> Triangle:
     # Dict reads are atomic, so an existing triangle needs no lock; the
     # lock only keeps two threads from creating the same one.
-    key = family.m, family.p
-    tri = _triangles.get(key)
+    tri = _triangles.get((m, p))
     if tri is None:
         with _triangles_lock:
-            tri = _triangles.get(key)
+            tri = _triangles.get((m, p))
             if tri is None:
-                tri = _triangles[key] = Triangle(family)
+                tri = _triangles[m, p] = Triangle(Family(m, p))
     return tri
 
 
@@ -368,8 +363,9 @@ def build_definitional(n: int, family: Family) -> IntPolynomial:
     return IntPolynomial(triangle(family).row(n))
 
 
-def _shifted_row(n: int, family: Family, s: int, variant: str) -> list[int]:
-    """x^s times row n of the family, powers 0..n+s: with its powers
+def _shifted_row(n: int, m: int, p: int, s: int,
+                 variant: str) -> list[int]:
+    """x^s times row n of family (m, p), powers 0..n+s: with its powers
     0..s-1 filled in for s > 0, and without the row's lowest -s powers
     for s < 0.
 
@@ -378,11 +374,11 @@ def _shifted_row(n: int, family: Family, s: int, variant: str) -> list[int]:
     (_virtual_coeff), and the "corrected" variant keeps them; for p <= 2
     they all vanish by the count's range, so only p >= 3 reads them.
     """
-    row = triangle(family).row(n)
+    row = _triangle(m, p).row(n)
     if s < 0:
         return list(row[-s:])
-    if variant == "corrected" and s and family.p >= 3:
-        low = _window(_closed_row(n, family.m, family.p), n, family.m, -s, 0)
+    if variant == "corrected" and s and p >= 3:
+        low = _window(_closed_row(n, m, p), n, m, -s, 0)
     else:
         low = [0] * s
     return [*low, *row]
@@ -418,10 +414,9 @@ def build_by_reduction(n: int, family: Family,
     _check_start(n, family)
     _check_variant(variant)
     m = family.m
-    base = _family(0, family.p)
     return _sum_rows(n + 1, (
         (-comb(m, i) if i % 2 else comb(m, i),
-         _shifted_row(n - m - i, base, m - i, variant))
+         _shifted_row(n - m - i, 0, family.p, m - i, variant))
         for i in range(min(m, n - m) + 1)))
 
 
@@ -493,8 +488,7 @@ def build_via_t_recurrence(n: int, family: Family, t: int,
     _check_variant(variant)
     return _sum_rows(n + 2 * t + 1, (
         (-comb(t, i) if (t - i) % 2 else comb(t, i),
-         _shifted_row(n + 2 * t - i, _family(family.m + t - i, family.p), i,
-                      variant))
+         _shifted_row(n + 2 * t - i, family.m + t - i, family.p, i, variant))
         for i in range(t + 1)))
 
 
@@ -516,7 +510,7 @@ def coeff_recurrence_e2(n: int, k: int, family: Family, t: int,
         return 0
     lookup = _coeff_any if variant == "printed" else _virtual_coeff
     return sum((-1) ** (i + t) * comb(t, i) * lookup(
-        n + 2 * t - i, k - i, _family(family.m + t - i, family.p))
+        n + 2 * t - i, k - i, Family(family.m + t - i, family.p))
         for i in range(t + 1))
 
 
@@ -558,7 +552,7 @@ def coeff_recurrence_e3_row(n: int, family: Family,
     sign = 1 if variant == "printed" else -1
     return _powers_to(n, _sum_rows(n + 1, (
         (sign * (-1) ** i * comb(family.p, i),
-         _shifted_row(n - i, family, 2 - i, "printed"))
+         _shifted_row(n - i, family.m, family.p, 2 - i, "printed"))
         for i in range(1, min(family.p, n - family.m) + 1))))
 
 

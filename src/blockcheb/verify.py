@@ -41,7 +41,7 @@ from .analysis import (MAX_ROOT_DEGREE, bound_check, closed_form_zeros,
                        evaluate_exact_at_float, extrema, monic_sup_norm,
                        numeric_zeros)
 from .blockcount import check_identity, f_closed, sweep_oracle_vs_closed
-from .errors import InvalidConfigError
+from .errors import ConvergenceError, InvalidConfigError
 from .exact import PiRational, binomial
 from .orthocheck import Weight, exact_gram, gram_matrix, theorem_band_value
 from .polyfamily import (Family, IntPolynomial, P_FAMILY, U_FAMILY,
@@ -353,10 +353,14 @@ def check_zero_values() -> CheckResult:
 def _zero_gap(n: int) -> float:
     """Largest distance between paired closed-form and numeric roots.
 
-    Root sets of different sizes cannot be paired: their gap is inf.
+    Root sets of different sizes cannot be paired, and a row whose roots
+    are not all real has no numeric root set: either gap is inf.
     """
     closed = closed_form_zeros(n)
-    numeric = numeric_zeros(build_definitional(n, P_FAMILY), P_FAMILY)
+    try:
+        numeric = numeric_zeros(build_definitional(n, P_FAMILY), P_FAMILY)
+    except ConvergenceError:
+        return math.inf
     if numeric.count != closed.count:
         return math.inf
     return max(abs(a - b) for a, b in zip(closed.roots, numeric.roots))

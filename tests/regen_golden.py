@@ -106,6 +106,10 @@ SURFACE_COMMANDS = [
     "triangle --max-n 3 --format xml",
     "triangle --max-n x",
     "gram --weight",
+    "poly --m 2 --p 3 --n 7",
+    "zeros --n 9",
+    "zeros --n 2",
+    "eval --m 1 --p 3 --n 5 --x 0.25",
 ]
 
 # The header of each digest file, verbatim.

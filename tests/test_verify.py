@@ -313,6 +313,24 @@ def test_coeff_recurrences_fail_on_a_corrupted_triangle_row():
          "coefficient": str(coefficient(12, 2, U_FAMILY))})
 
 
+def test_verify_reports_a_row_whose_roots_are_not_all_real():
+    # Row 10 of (2, 2) with its x^2 coefficient raised by 1 keeps 6 of
+    # its 10 roots real, which numeric_zeros refuses for this family; the
+    # report still comes back, with the row as the zeros witness.
+    tri = triangle(P_FAMILY)
+    tri.row(10)
+    stored = tri._rows[8]
+    tri._rows[8] = stored[:2] + (stored[2] + 1,) + stored[3:]
+    try:
+        report = verify.run_suite("all")
+    finally:
+        tri._rows[8] = stored
+    check, = (c for c in report.checks
+              if c.check_id == "zeros-numeric-agreement")
+    assert check.status == "fail"
+    assert check.witnesses == ({"n": "10", "max-gap": "inf"},)
+
+
 def test_three_way_fails_on_a_corrupted_left_edge(corrupt_closed_row):
     # Power -1 of row 11 of (0, 3) is a virtual coefficient: the t-fold
     # recurrence of (0, 3) shifts it into rows 10, 9, 8 (t = 1, 2, 3) and
