@@ -11,10 +11,13 @@ Two independent routes compute it:
   * f_oracle: exhaustive enumeration of subsets (uint32 masks walked in
     numpy chunks).  A subset whose extra block has size j <= m is exactly
     a mask below 2^(n*p+j), so one walk of the n*p + m ground set counts
-    every extra-block size j <= m at once: each hitting mask is binned by
-    its bit length and popcount, and the counts for j sum the bins of bit
-    length up to n*p + j.  The tables live in one module dict, one entry
-    per block shape (n, p).
+    every extra-block size j <= m at once: each mask is binned by its bit
+    length and popcount, and the counts for j sum the bins of bit length
+    up to n*p + j.  The same walk counts every shape with fewer blocks of
+    the same size, whose extra block takes the place of the blocks left
+    out, from the masks that meet the leading blocks, so a sweep walks
+    once per block size p.  The tables live in one module dict, one
+    entry per block shape (n, p).
 
 Their agreement is the foundation everything else in the package is
 checked against.  The identity checkers below sweep the five published
@@ -37,20 +40,25 @@ E2_T_MAX = 3  # and E2 its shift t = 0..3
 _CHUNK = 1 << 14  # masks per numpy pass; 64 KiB arrays stay in cache
 
 
-def _kernel(n: int, p: int, m: int) -> list[list[int]]:
-    """Count rows c[j][s] of the s-subsets meeting all n size-p blocks,
-    with an extra block of size j, for every j = 0..m.
+def _kernel(n: int, p: int, m: int) -> list[list[list[int]]]:
+    """Count tables of every shape n' = 0..n with block size p, from one
+    walk: table n' holds the rows c[j][s] of the s-subsets meeting the
+    first n' size-p blocks, with an extra block of size j, for every
+    j = 0..n*p + m - n'*p.
 
     Walks every mask of the n*p + m ground set (blocks at bits
     0..n*p-1, the size-m block last), as the tests' pure-Python
     reference kernel does, one chunk of masks at a time, and tests every
     mask against every block in one OR-fold: ceil(log2 p) shift-OR
     steps, each widening the span OR-ed into a bit but never past p,
-    gather each block's p bits onto its lowest bit, and a mask meets
-    every block when all n low bits are set.  Hitting masks are
-    binned by bit length and popcount; a mask of bit length L lies in
-    the ground set with extra block j exactly when L <= n*p + j, so row
-    j sums the bins of bit length up to n*p + j.
+    gather each block's p bits onto its lowest bit.  The lowest unmet
+    block bit, with an always-unmet sentinel bit at n*p, then sits at
+    h*p for the number h of leading blocks the mask meets.  Masks are
+    binned by that bit, bit length and popcount.  Shape n' reads the
+    masks with h >= n': its blocks are the first n' blocks, and the
+    rest of the ground set is its extra block, so a mask of bit length
+    L lies in its ground set with extra block j exactly when
+    L <= n'*p + j, and row j sums the bins of bit length up to n'*p + j.
     """
     import numpy as np  # here, so commands that enumerate nothing skip it
     base = n * p
@@ -63,23 +71,41 @@ def _kernel(n: int, p: int, m: int) -> list[list[int]]:
         steps.append(min(reach, p - reach))
         reach += steps[-1]
     low = np.uint32(sum(1 << (b * p) for b in range(n)))
+    sentinel = np.uint32(1 << base)
+    one = np.uint32(1)
     width = nground + 1
-    bins = np.zeros((width, width), dtype=np.int64)  # [bit length, popcount]
+    levels = base + 2
+    # [bit length, 1 + lowest unmet block bit, popcount]: a flat index
+    # stays below 25 * 26 * 25, so keys fit uint16.
+    bins = np.zeros((width, levels, width), dtype=np.int64)
     total = 1 << nground
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
         fold = masks
         for step in steps:
             fold = fold | fold >> step
-        masks = masks[(fold & low) == low]
-        sizes = np.bitwise_count(masks)
+        unmet = ~fold & low | sentinel
+        # The bits up to and including the lowest set one: 1 + its position.
+        first = np.bitwise_count(unmet ^ (unmet - one)).astype(np.uint16)
+        keys = first * np.uint16(width) + np.bitwise_count(masks)
         if start:  # an aligned chunk past the first: one bit length
-            bins[start.bit_length()] += np.bincount(sizes, minlength=width)
+            bins[start.bit_length()] += np.bincount(
+                keys, minlength=levels * width).reshape(levels, width)
         else:  # frexp's exponent of a mask is its bit length
-            bins += np.bincount(np.frexp(masks)[1] * width + sizes,
-                                minlength=bins.size).reshape(bins.shape)
-    rows = np.cumsum(bins, axis=0)[base:].tolist()
-    return [row[:base + j + 1] for j, row in enumerate(rows)]
+            keys += np.frexp(masks)[1].astype(np.uint16) * \
+                np.uint16(levels * width)
+            bins += np.bincount(keys, minlength=bins.size).reshape(bins.shape)
+    # Only the levels h*p + 1 are filled.  Taken from h = n down and
+    # summed, met[L, n - h] counts by popcount the masks of bit length up
+    # to L whose lowest unmet block bit is at h*p or past it: those that
+    # meet the first h blocks.
+    met = np.cumsum(np.cumsum(bins[:, base + 1:0:-p], axis=1), axis=0)
+    tables = []
+    for shape in range(n + 1):
+        blocks = shape * p
+        rows = met[blocks:, n - shape].tolist()
+        tables.append([row[:blocks + j + 1] for j, row in enumerate(rows)])
+    return tables
 
 
 def _validate(n: int, m: int, p: int) -> None:
@@ -142,11 +168,12 @@ def f_oracle(n: int, k: int, m: int, p: int) -> int:
 
 
 # One table per block shape (n, p), its longest so far, since the table
-# to extra block m holds every smaller one exactly.  With no blocks p does
-# not matter, so n = 0 has one entry; n*p <= ENUMERATION_BOUND then allows
-# at most 1 + sum_{n>=1} floor(24 / n) = 85 entries.  Two threads growing
-# one entry at once may leave the shorter table there, which is still
-# exact.
+# to extra block m holds every smaller one exactly.  A walk stores each
+# shape (n', p), n' <= n, that it counts further than the stored table.
+# With no blocks p does not matter, so n = 0 has one entry;
+# n*p <= ENUMERATION_BOUND then allows at most
+# 1 + sum_{n>=1} floor(24 / n) = 85 entries.  Two threads growing one
+# entry at once may leave the shorter table there, which is still exact.
 _tables: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
@@ -156,7 +183,12 @@ def _count_table(n: int, p: int, m: int) -> tuple[tuple[int, ...], ...]:
         p = 1
     table = _tables.get((n, p), ())
     if len(table) <= m:
-        table = _tables[n, p] = tuple(map(tuple, _kernel(n, p, m)))
+        walked = [tuple(map(tuple, rows)) for rows in _kernel(n, p, m)]
+        for shape, rows in enumerate(walked):
+            key = (shape, p if shape else 1)
+            if len(_tables.get(key, ())) < len(rows):
+                _tables[key] = rows
+        table = walked[n]
     return table
 
 
@@ -189,8 +221,10 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     Each configuration's closed-form row is summed once, uncached, in
     _f_closed_row and compared whole with the enumerated row; only a
     row that differs is compared size by size.  The enumeration side
-    walks each block shape once, at its largest extra block
-    max_ground - n*p, and reads every smaller one off that table.
+    walks the whole max_ground ground set once per block size p, with
+    as many blocks as fit, max_ground // p.  That walk counts every
+    shape (n, p) at its largest extra block max_ground - n*p, and every
+    smaller extra block is read off that shape's table.
     """
     if max_ground < 0 or p_max < 1:
         raise InvalidConfigError(
@@ -203,9 +237,10 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
                 f"bound {ENUMERATION_BOUND}")
     # All walks come before the sums: walking between them measured a
     # peak resident set about 0.3 MB higher on the oracle workload.
-    tables = {}
-    for n, p in _shapes(max_ground, p_max):
-        tables[n, p] = _count_table(n, p, max_ground - n * p)
+    for p in range(1, p_max + 1):
+        _count_table(max_ground // p, p, max_ground % p)
+    tables = {(n, p): _count_table(n, p, max_ground - n * p)
+              for n, p in _shapes(max_ground, p_max)}
     checked = 0
     failures = []
     for n, m, p, sizes in _configurations(max_ground, p_max):

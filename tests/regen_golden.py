@@ -110,6 +110,14 @@ SURFACE_COMMANDS = [
     "zeros --n 9",
     "zeros --n 2",
     "eval --m 1 --p 3 --n 5 --x 0.25",
+    "oracle --max-ground 4 --max-ground 5",
+    "oracle --max-ground=4 --p-max 2",
+    "triangle --max-n 3 --format=csv",
+    "eval --n 3 --x -1/2",
+    "eval --n 3 --x -2",
+    "gram --range 3..4 --no-numeric=1",
+    "oracle --max-ground 4 --",
+    "triangle --max-n 3 --m",
 ]
 
 # The header of each digest file, verbatim.
@@ -211,7 +219,8 @@ TABLE = {
     "oracle_sha256.txt": lambda: _cli_rows([
         ("default default", ["oracle"]),
         ("12 12", ["oracle", "--max-ground", "12", "--p-max", "12"]),
-        ("16 4", ["oracle", "--max-ground", "16", "--p-max", "4"])]),
+        ("16 4", ["oracle", "--max-ground", "16", "--p-max", "4"]),
+        ("20 4", ["oracle", "--max-ground", "20", "--p-max", "4"])]),
     "roots_sha256.txt": lambda: _cli_rows([
         *((f"zeros {m} {p} {n}", ["zeros", "--method", "numeric", "--m", m,
                                   "--p", p, "--n", n])

@@ -104,18 +104,21 @@ def fresh_tables():
 
 
 def test_sweep_reports_a_corrupted_kernel_table(monkeypatch, fresh_tables):
-    # Shape (2, 2) is walked once, at m = 2; three of its counts go wrong.
+    # Shape (2, 2) is counted once, at m = 2, inside the one p = 2 walk
+    # (3, 2, 0); three of its counts go wrong.
     checked, failures = sweep_oracle_vs_closed(max_ground=6, p_max=2)
     assert failures == []
     blockcount._tables.clear()
 
     def corrupted_kernel(n, p, m):
-        rows = _kernel(n, p, m)
-        if (n, p) == (2, 2):
+        tables = _kernel(n, p, m)
+        if p == 2:
+            assert (n, m) == (3, 0)
+            rows = tables[2]
             rows[0][0] += 1
             rows[1][5] -= 1
             rows[1][3] += 2
-        return rows
+        return tables
     monkeypatch.setattr(blockcount, "_kernel", corrupted_kernel)
     assert sweep_oracle_vs_closed(max_ground=6, p_max=2) == (checked, [
         {"n": 2, "k": -2, "m": 0, "p": 2, "closed": 0, "oracle": 1},
@@ -149,7 +152,7 @@ def test_oracle_documents_match_golden_digests(capsys):
     """oracle documents, byte for byte, as one kernel walk per
     configuration wrote them."""
     lines = ORACLE_DIGESTS.read_text(encoding="utf-8").splitlines()[1:]
-    assert len(lines) == 3
+    assert len(lines) == 4
     for line in lines:
         max_ground, p_max, want = line.split()
         argv = ["oracle"] if max_ground == "default" else \
@@ -194,12 +197,13 @@ def test_count_tables_stay_bounded(monkeypatch):
         assert f_oracle(0, 1, 3, p) == 3
     assert list(blockcount._tables) == [(0, 1)]
     walks.clear()
-    sweep_oracle_vs_closed(max_ground=10, p_max=10)
-    shapes = {(n, p if n else 1) for p in range(1, 11)
+    sweep_oracle_vs_closed(max_ground=10, p_max=12)
+    shapes = {(n, p if n else 1) for p in range(1, 13)
               for n in range(10 // p + 1)}
     assert set(blockcount._tables) == shapes
-    # One walk per shape, at its largest extra block.
-    assert sorted(walks) == sorted((n, p, 10 - n * p) for n, p in shapes)
+    # One walk of the whole ground set per block size p <= max_ground,
+    # with as many blocks as fit; p = 11, 12 add only the block-free shape.
+    assert walks == [(10 // p, p, 10 % p) for p in range(1, 11)]
 
 
 def test_sweep_rejects_bound_before_enumerating(monkeypatch):
@@ -278,30 +282,36 @@ def test_backend_is_declared():
 
 
 def test_numpy_and_reference_kernels_agree():
-    # Every row j <= m of one walk is a whole walk of the reference kernel.
-    # p = 1..7 runs every sequence of fold steps: none for p = 1, then
-    # 1; 1,1; 1,2; 1,2,1; 1,2,2; 1,2,3.
+    # Every row j of every shape n' <= n of one walk is a whole walk of
+    # the reference kernel.  p = 1..7 runs every sequence of fold steps:
+    # none for p = 1, then 1; 1,1; 1,2; 1,2,1; 1,2,2; 1,2,3.
     for p in range(1, 8):
         for n in range(0, 4):
             for m in range(0, 12 - n * p + 1):
-                rows = _kernel(n, p, m)
-                assert len(rows) == m + 1
-                for j, row in enumerate(rows):
-                    assert row == \
-                        count_intersecting_by_size(n, p, j)
+                tables = _kernel(n, p, m)
+                assert len(tables) == n + 1
+                for shape, rows in enumerate(tables):
+                    assert len(rows) == (n - shape) * p + m + 1
+                    for j, row in enumerate(rows):
+                        assert row == \
+                            count_intersecting_by_size(shape, p, j)
 
 
 def test_kernel_spans_several_chunks():
     # (5, 3, 6): 2^21 masks, 128 chunks of 2^14.  (8, 2, 3): n*p = 16
     # exceeds the first chunk's 14 bits, so that chunk feeds only j = 0.
     # (4, 4, 1) and (2, 7, 3): 2^17 masks each, folded in two and three
-    # steps.  Every row against the closed form.
-    for n, p, m in ((5, 3, 6), (8, 2, 3), (4, 4, 1), (2, 7, 3)):
-        rows = _kernel(n, p, m)
-        assert len(rows) == m + 1
-        for j, counts in enumerate(rows):
-            assert counts == [f_closed(n, s - n, j, p)
-                              for s in range(n * p + j + 1)]
+    # steps.  (16, 1, 4): 2^20 masks and 17 shapes, the sentinel bit at
+    # 16 past the first chunk.  Every row of every shape against the
+    # closed form.
+    for n, p, m in ((5, 3, 6), (8, 2, 3), (4, 4, 1), (2, 7, 3), (16, 1, 4)):
+        tables = _kernel(n, p, m)
+        assert len(tables) == n + 1
+        for shape, rows in enumerate(tables):
+            assert len(rows) == (n - shape) * p + m + 1
+            for j, counts in enumerate(rows):
+                assert counts == [f_closed(shape, s - shape, j, p)
+                                  for s in range(shape * p + j + 1)]
 
 
 def test_kernel_rejects_ground_set_out_of_range():

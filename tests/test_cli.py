@@ -7,12 +7,15 @@ PYTHONPATH, so it works from a source checkout and from an install alike;
 it also confirms that pyproject.toml maps the `blockcheb` script to that
 callable.  Where the script itself is installed on PATH, a second check
 runs it directly.  A third imports blockcheb.cli in a child and checks
-that numpy stays unloaded.
+that numpy stays unloaded, and a fourth that a plain command line leaves
+locale unloaded.
 """
 
 import argparse
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -24,11 +27,13 @@ import pytest
 import blockcheb
 from blockcheb import __version__
 from blockcheb.analysis import MAX_ROOT_DEGREE, evaluate_exact_at_float
-from blockcheb.cli import COMMANDS, build_parser, main
+from blockcheb.cli import COMMANDS, _read_plain, build_parser, main
 from blockcheb.documents import build_document, to_bfile
 from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
 from blockcheb.polyfamily import MAX_ROW, P_FAMILY, build_definitional
-from regen_golden import GOLDEN, render
+from regen_golden import DOCUMENT_COMMANDS, GOLDEN, SURFACE_COMMANDS, render
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -66,6 +71,19 @@ def test_installed_entry_point():
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
         "project"]["scripts"]
     assert scripts["blockcheb"] == "blockcheb.cli:main"
+
+
+def test_plain_command_line_leaves_locale_unloaded():
+    """A plain command line builds no argparse parser, whose gettext
+    calls import locale."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys, blockcheb.cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = blockcheb.cli.main(['oracle', '--max-ground', '4'])\n"
+         "print(code, 'locale' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 False\n", "")
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -426,9 +444,9 @@ def test_cli_surface_matches_golden_digests(monkeypatch):
 
 
 def test_one_parser_per_command(capsys, monkeypatch):
-    """A command line builds only its command's parser; the root parser,
-    built for help, --version and usage errors, lists every command of
-    the table in order."""
+    """A plain command line builds no parser, any other only its
+    command's parser; the root parser, built for help, --version and
+    usage errors, lists every command of the table in order."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -439,7 +457,56 @@ def test_one_parser_per_command(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     code, payload = _run_json(capsys, "oracle", "--max-ground", "4")
     assert (code, payload["kind"]) == (0, "oracle")
+    assert built == []
+    code, payload = _run_json(capsys, "oracle", "--max-g", "8")
+    assert (code, payload["maxGround"]) == (0, 8)
     assert built == ["blockcheb oracle"]
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     assert list(subs.choices) == list(COMMANDS)
+
+
+def _workload_lines() -> list[str]:
+    """The command lines of the four benchmark workloads, on seeds 0..9."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    lines = {}
+    for name, ops in WORKLOADS.items():
+        for seed in range(10):
+            for chain in ops(random.Random(f"{name}:{seed}")):
+                for op in chain:
+                    lines[" ".join(op["argv"])] = None
+    return list(lines)
+
+
+def _readme_lines() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^(?:\$ )?blockcheb ([^#\n]*?)\s*(?:#.*)?$", text,
+                      re.MULTILINE)
+
+
+# Lines every command runs as users and the benchmark write them, which
+# the flag reader must read, and the surface rows, which it may decline.
+PLAIN_LINES = list(dict.fromkeys(
+    [*DOCUMENT_COMMANDS, *_workload_lines(), *_readme_lines()]))
+
+
+@pytest.mark.parametrize(("line", "plain"), [
+    *(pytest.param(line, True, id=line) for line in PLAIN_LINES),
+    *(pytest.param(line, False, id=line) for line in SURFACE_COMMANDS
+      if line.split()[:1] and line.split()[0] in COMMANDS)])
+def test_flag_reader_reads_as_argparse_does(line, plain):
+    """The flag reader either declines a line or reads the Namespace,
+    defaults included, that the command's parser reads from it with no
+    tokens left over."""
+    name, *tokens = line.split()
+    add_flags = COMMANDS[name][1]
+    args = _read_plain(add_flags, tokens)
+    assert plain <= (args is not None)
+    if args is not None:
+        parser = argparse.ArgumentParser(prog=f"blockcheb {name}")
+        add_flags(parser)
+        assert parser.parse_known_args(tokens) == (args, [])
