@@ -118,6 +118,10 @@ SURFACE_COMMANDS = [
     "gram --range 3..4 --no-numeric=1",
     "oracle --max-ground 4 --",
     "triangle --max-n 3 --m",
+    "gram --m 0 --p 3 --weight 1 --range 4..12 --no-numeric",
+    "gram --weight 0 --range 3..9 --no-numeric",
+    "gram --weight 3 --range 3..3 --no-numeric",
+    "gram --m 3 --range 3..6 --no-numeric",
 ]
 
 # The header of each digest file, verbatim.
