@@ -45,6 +45,16 @@ def _emit(kind: str, **fields) -> int:
     return 0
 
 
+# repr() of a float that is not finite, as json.dumps spells it.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """The float as json.dumps writes it."""
+    text = repr(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
 def _pi_fields(value) -> dict:
     exact = decimals((value,))[0]
     try:
@@ -150,32 +160,72 @@ def cmd_extrema(args) -> int:
     return _emit("extrema", m=2, p=2, n=args.n, points=points)
 
 
+def _gram_cell(pad: str, n: int, m: int, fields: tuple[str, str],
+               numeric: str | None = None) -> str:
+    """One {n, m, exact, decimal[, numeric]} object of a gram document,
+    its braces at indent pad, as json.dumps(indent=2) writes it."""
+    key = pad + "  "
+    tail = "" if numeric is None else f',\n{key}"numeric": {numeric}'
+    return (f'{pad}{{\n{key}"n": {n},\n{key}"m": {m},\n{key}"exact": '
+            f'"{fields[0]}",\n{key}"decimal": {fields[1]}{tail}\n{pad}}}')
+
+
 def cmd_gram(args) -> int:
+    """The gram document, written as json.dumps(indent=2) writes its
+    payload {schemaVersion, kind, m, p, weight, range, entries: [{n, m,
+    exact, decimal[, numeric]}], bands: {offset: {uniform, value: {exact,
+    decimal}, deviations: [{n, m, exact, decimal}]}}, bandSummary}, plus a
+    newline, but in one pass and without that pure-Python encoder.
+
+    exact_gram makes equal entries one object, so each distinct value's
+    exact and decimal text is formatted once, keyed by its id, and every
+    entry is one fixed-shape string.  The exact text is str(PiRational):
+    digits, "/", "-", "*pi" and " + ", which need no escaping.  The first
+    value that cannot be written, in entry order, is the one refused."""
     family = _family(args)
     lo, hi = _parse_range(args.range)
     weight = Weight(args.weight)
     gm = gram_matrix((lo, hi), family, weight,
                      with_numeric=not args.no_numeric)
-    entries = []
-    for e in gm.entries():  # the upper triangle, in (n, m) order
-        rec = {"n": e.n, "m": e.m, **_pi_fields(e.exact)}
-        if e.numeric is not None:
-            rec["numeric"] = e.numeric
-        entries.append(rec)
-    bands = {}
-    summary = {}
+    texts = {}  # id of a distinct exact value -> (exact, decimal) text
+
+    def text(value) -> tuple[str, str]:
+        fields = texts.get(id(value))
+        if fields is None:
+            pi = _pi_fields(value)
+            fields = texts[id(value)] = (pi["exact"],
+                                         _json_float(pi["decimal"]))
+        return fields
+
+    size, numeric = hi - lo + 1, gm.numeric
+    entries = ",\n".join(
+        _gram_cell("    ", lo + i, lo + j, text(gm.exact[i][j]),
+                   None if numeric is None
+                   else _json_float(float(numeric[i, j])))
+        for i in range(size) for j in range(i, size))
+    bands, summary = [], []
     for offset, bp in sorted(gm.band_report().items()):
-        bands[str(offset)] = {
-            "uniform": bp.uniform,
-            "value": _pi_fields(bp.value),
-            "deviations": [{"n": n, "m": m, **_pi_fields(v)}
-                           for n, m, v in bp.deviations],
-        }
+        exact, decimal = text(bp.value)
+        deviations = ",\n".join(_gram_cell("        ", n, m, text(v))
+                                 for n, m, v in bp.deviations)
+        deviations = f"[\n{deviations}\n      ]" if deviations else "[]"
+        bands.append(
+            f'    "{offset}": {{\n      "uniform": '
+            f'{"true" if bp.uniform else "false"},\n      "value": {{\n'
+            f'        "exact": "{exact}",\n        "decimal": {decimal}\n'
+            f'      }},\n      "deviations": {deviations}\n    }}')
         if bp.uniform and not bp.value.is_zero():
-            summary[str(offset)] = str(bp.value)
-    return _emit("gram", m=family.m, p=family.p, weight=weight.half_exponent,
-                 range=[lo, hi], entries=entries, bands=bands,
-                 bandSummary=summary)
+            summary.append(f'    "{offset}": "{exact}"')
+    bands = ",\n".join(bands)
+    summary = "{\n" + ",\n".join(summary) + "\n  }" if summary else "{}"
+    sys.stdout.write(
+        f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n  "kind": "gram",\n'
+        f'  "m": {family.m},\n  "p": {family.p},\n'
+        f'  "weight": {weight.half_exponent},\n'
+        f'  "range": [\n    {lo},\n    {hi}\n  ],\n'
+        f'  "entries": [\n{entries}\n  ],\n  "bands": {{\n{bands}\n  }},\n'
+        f'  "bandSummary": {summary}\n}}\n')
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -13,10 +13,11 @@ vector v[i] = sum_j c[j] N_((i+j)/2) over even i + j (a Hankel moment
 matrix times the row; Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, ch. 2), from its own len(c) moments, so an entry is the
 shorter row dotted with the longer row's vector over that vector's D:
-one short integer dot product and one Fraction.  Odd
-powers of x integrate to 0 against the even weight.  The rows come
-from their integer coefficients, never from their trigonometric
-closed form, so those identities stay independent test targets.
+one short integer dot product, reduced by one gcd, and one Fraction for
+each distinct value.  Odd powers of x integrate to 0 against the even
+weight.  The rows come from their integer coefficients, never from their
+trigonometric closed form, so those identities stay independent test
+targets.
 
 The numeric backend is one Gauss rule in x per Gram block, exact for
 every pair of its rows (Golub & Welsch 1969).  Odd q splits the weight
@@ -35,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 from typing import TYPE_CHECKING
 
@@ -51,8 +53,8 @@ if TYPE_CHECKING:  # the numeric route imports numpy where it runs
 MAX_HALF_EXPONENT = 200
 
 # A Gram range to row N holds about N^2/2 inner products of degree up to
-# 2N; 3..60 of the (2, 2) rows takes 11-32 ms exact-only in process (q from
-# -1 to 200) and 44-70 ms with the numeric column at q = 200 (CPython 3.11,
+# 2N; 3..60 of the (2, 2) rows takes 9-24 ms exact-only in process (q from
+# -1 to 200) and 46 ms with the numeric column at q = 200 (CPython 3.11,
 # x86-64, on a shared machine).
 MAX_GRAM_ROW = 60
 
@@ -105,7 +107,11 @@ def exact_gram(rows, family: Family, weight: Weight) -> list[list[PiRational]]:
     """The exact Gram block of rows, in their order: each distinct row c
     gets one vector v[i] = sum_j c[j] N_((i+j)/2) over even i + j with the
     D of its own len(c) moments, and each unordered pair is the shorter
-    row dotted with the longer row's vector over that vector's D."""
+    row dotted with the longer row's vector over that vector's D.
+
+    Equal entries are one object: the weighted rows are nearly orthogonal,
+    so a block holds few distinct values (3 of the 351 entries of the
+    (2, 2) rows 3..28 at q = -1), and each is built once."""
     q = weight.half_exponent
     built = []
     for n in sorted(set(rows)):
@@ -114,12 +120,18 @@ def exact_gram(rows, family: Family, weight: Weight) -> list[list[PiRational]]:
         built.append((n, row, denominator, [
             sum(map(mul, row[i % 2::2], numerators[(i + 1) // 2:]))
             for i in range(len(row))]))
-    values = {}
+    values, interned = {}, {}
     for a, (n, row, _, _) in enumerate(built):
         for m, _, denominator, vector in built[a:]:
-            total = Fraction(sum(map(mul, row, vector)), denominator)
-            values[n, m] = values[m, n] = PiRational(total, Fraction(0)) \
-                if q % 2 else PiRational(Fraction(0), total)
+            dot = sum(map(mul, row, vector))
+            common = gcd(dot, denominator)  # denominator > 0
+            key = dot // common, denominator // common
+            value = interned.get(key)
+            if value is None:
+                total = Fraction(*key)
+                value = interned[key] = PiRational(total, Fraction(0)) \
+                    if q % 2 else PiRational(Fraction(0), total)
+            values[n, m] = values[m, n] = value
     return [[values[n, m] for m in rows] for n in rows]
 
 
@@ -246,16 +258,16 @@ class GramMatrix:
                  numeric: np.ndarray | None):
         self.lo = lo
         self.hi = hi
-        self._exact = exact
-        self._numeric = numeric
+        self.exact = exact
+        self.numeric = numeric
 
     def entry(self, n: int, m: int) -> GramEntry:
         n, m = sorted((n, m))
         if n < self.lo or m > self.hi:
             raise KeyError(f"({n}, {m}) outside rows {self.lo}..{self.hi}")
         i, j = n - self.lo, m - self.lo
-        numeric = None if self._numeric is None else float(self._numeric[i, j])
-        return GramEntry(n, m, self._exact[i][j], numeric)
+        numeric = None if self.numeric is None else float(self.numeric[i, j])
+        return GramEntry(n, m, self.exact[i][j], numeric)
 
     def entries(self) -> list[GramEntry]:
         """The upper triangle, in (n, m) order."""
@@ -264,7 +276,7 @@ class GramMatrix:
 
     def band_report(self) -> dict[int, BandPattern]:
         report = {}
-        lo, block = self.lo, self._exact
+        lo, block = self.lo, self.exact
         for offset in range(len(block)):
             cells = [(lo + i, lo + i + offset, block[i][i + offset])
                      for i in range(len(block) - offset)]

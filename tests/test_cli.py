@@ -13,6 +13,7 @@ locale unloaded.
 
 import argparse
 import json
+import math
 import os
 import random
 import re
@@ -25,12 +26,15 @@ from pathlib import Path
 import pytest
 
 import blockcheb
-from blockcheb import __version__
+from blockcheb import __version__, cli
 from blockcheb.analysis import MAX_ROOT_DEGREE, evaluate_exact_at_float
-from blockcheb.cli import COMMANDS, _read_plain, build_parser, main
+from blockcheb.cli import (COMMANDS, _json_float, _read_plain,
+                           build_parser, main)
 from blockcheb.documents import build_document, to_bfile
-from blockcheb.orthocheck import MAX_GRAM_ROW, MAX_HALF_EXPONENT
-from blockcheb.polyfamily import MAX_ROW, P_FAMILY, build_definitional
+from blockcheb.orthocheck import (MAX_GRAM_ROW, MAX_HALF_EXPONENT, Weight,
+                                  gram_matrix)
+from blockcheb.polyfamily import (MAX_ROW, P_FAMILY, Family,
+                                  build_definitional)
 from regen_golden import DOCUMENT_COMMANDS, GOLDEN, SURFACE_COMMANDS, render
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +264,62 @@ def test_gram_no_numeric(capsys):
     assert all("numeric" not in e for e in payload["entries"])
 
 
+def _gram_payload_text(m, p, q, lo, hi) -> str:
+    """The gram document as json.dumps(indent=2) wrote its payload,
+    built entry by entry from GramMatrix.entries() and band_report()."""
+    gm = gram_matrix((lo, hi), Family(m, p), Weight(q))
+
+    def fields(value):
+        return {"exact": str(value), "decimal": float(value)}
+
+    report = sorted(gm.band_report().items())
+    bands = {str(offset): {
+        "uniform": bp.uniform, "value": fields(bp.value),
+        "deviations": [{"n": n, "m": m, **fields(v)}
+                       for n, m, v in bp.deviations]}
+        for offset, bp in report}
+    summary = {str(offset): str(bp.value) for offset, bp in report
+               if bp.uniform and not bp.value.is_zero()}
+    return json.dumps({
+        "schemaVersion": 1, "kind": "gram", "m": m, "p": p, "weight": q,
+        "range": [lo, hi],
+        "entries": [{"n": e.n, "m": e.m, **fields(e.exact),
+                     "numeric": e.numeric} for e in gm.entries()],
+        "bands": bands, "bandSummary": summary}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("m, p, q, lo, hi", [
+    (2, 2, -1, 3, 10), (2, 2, 0, 3, 10), (2, 2, 1, 3, 10), (2, 2, 3, 3, 10),
+    (0, 3, 1, 4, 12), (2, 2, 0, 3, 60)])
+def test_gram_document_matches_json_dumps(capsys, m, p, q, lo, hi):
+    """The one-pass gram writer, numeric column included, against
+    json.dumps(indent=2) of the same payload; q = 0 has deviations and an
+    empty bandSummary.  Both sides print the same longdouble -> float values,
+    so this holds on any platform."""
+    code, out, err = _run(capsys, "gram", "--m", str(m), "--p", str(p),
+                          "--weight", str(q), "--range", f"{lo}..{hi}")
+    assert (code, err) == (0, "")
+    assert out == _gram_payload_text(m, p, q, lo, hi)
+
+
+def test_gram_formats_each_distinct_value_once(capsys, monkeypatch):
+    # The q = -1 block of rows 3..28 holds 351 entries of 3 values, and
+    # each of its 26 bands one value and no deviation.
+    formatted = []
+    fields = cli._pi_fields
+    monkeypatch.setattr(cli, "_pi_fields",
+                        lambda value: formatted.append(value) or fields(value))
+    code, out, _ = _run(capsys, "gram", "--range", "3..28", "--no-numeric")
+    assert code == 0 and out.count('"exact"') == 351 + 26
+    assert sorted(map(str, formatted)) == ["-1/8*pi", "0", "1/4*pi"]
+
+
+def test_gram_floats_are_spelled_as_json_dumps_spells_them():
+    for value in (0.0, -0.0, 0.1, -1e-300, 2.5e300, math.pi, math.inf,
+                  -math.inf, math.nan):
+        assert _json_float(value) == json.dumps(value), value
+
+
 def test_verify_errata_suite(capsys):
     code, payload = _run_json(capsys, "verify", "--suite", "errata")
     assert code == 0
@@ -385,6 +445,14 @@ def test_values_past_the_digit_limit_exit_2(capsys):
         assert (code, out) == (2, "")
         assert err == "error: an exact value is too large for the " \
                       "decimal field\n"
+        # The (1, 1) entry of (0, 10^350), about 10^700, is past both the
+        # digit limit and the float range: the digits are refused first.
+        code, out, err = _run(capsys, "gram", "--m", "0", "--p",
+                              str(10 ** 350), "--range", "0..1",
+                              "--no-numeric")
+        assert (code, out) == (2, "")
+        assert err == ("error: a value has more than 640 digits, "
+                       "Python's limit for a decimal string\n")
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -152,6 +152,18 @@ def test_vectors_stay_exact_when_the_moment_table_grows(q):
         assert inner_product_exact(m, n, P_FAMILY, w) == want(n, m)
 
 
+@pytest.mark.parametrize("q, distinct", [(-1, 3), (1, 5), (3, 8), (0, 183)])
+def test_exact_gram_interns_equal_entries(q, distinct):
+    # Each distinct value of the block is one object, and equal entries
+    # anywhere in the block are that object.
+    block = orthocheck.exact_gram(range(3, 29), P_FAMILY, Weight(q))
+    assert len({id(v) for row in block for v in row}) == distinct
+    first = {}
+    for row in block:
+        for v in row:
+            assert first.setdefault(v, v) is v
+
+
 def test_gram_documents_match_golden_digests(capsys):
     """The exact-only gram documents, byte for byte, as the per-term
     Fraction route wrote them."""
