@@ -7,7 +7,9 @@ over subsets that intersect every one of the n size-p blocks.
 Two independent routes compute it:
 
   * f_closed: the alternating binomial sum (inclusion-exclusion on the
-    set of missed blocks), or a whole row of sizes in _f_closed_row,
+    set of missed blocks).  The oracle sweep sums it as a whole row of
+    sizes once per block shape (n, p), at m = 0, and steps that row to
+    each larger extra block m by Pascal's rule (_f_closed_rows),
   * f_oracle: exhaustive enumeration of subsets (uint32 masks walked in
     numpy chunks).  A subset whose extra block has size j <= m is exactly
     a mask below 2^(n*p+j), so one walk of the n*p + m ground set counts
@@ -23,13 +25,18 @@ Their agreement is the foundation everything else in the package is
 checked against.  The identity checkers below sweep the five published
 recurrence identities for f; identity (3) is checked in both its
 printed form and the corrected form, because the printed one is wrong
-(the counterexample is pinned in the tests and the verify suite).
+(the counterexample is pinned in the tests and the verify suite).  They
+read the scalar sum, not the stepped rows: E1 (Vandermonde in m) and E2
+(the alternating sum over m + t - i) are exactly the (1+x)^m structure
+that the stepping builds, so on stepped rows they would hold even from
+a wrong m = 0 row.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import comb
+from operator import add
 
 from .errors import GroundSetTooLargeError, InvalidConfigError
 
@@ -125,8 +132,8 @@ def f_closed(n: int, k: int, m: int, p: int) -> int:
 
 # Bounded: a verify run fills 4,885 entries, all from the identity
 # sweeps; polyfamily._closed_row reads the sum uncached.  The oracle
-# sweep checks _f_closed_row, not this sum, against enumeration; only
-# test_closed_form_equals_untruncated_sum ties the two.
+# sweep checks the stepped rows of _f_closed_rows, not this sum, against
+# enumeration; only test_closed_form_equals_untruncated_sum ties the two.
 @lru_cache(maxsize=1 << 16)
 def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     size = n + k
@@ -141,17 +148,33 @@ def _f_closed_raw(n: int, k: int, m: int, p: int) -> int:
     return total
 
 
-def _f_closed_row(n: int, m: int, p: int) -> list[int]:
-    """f_closed(n, s - n, m, p) for s = 0..n*p+m: the sum over i of
-    (-1)^i C(n, i) times the binomial row C(n*p + m - i*p, s)."""
-    top = n * p + m
+def _f_closed_seed(n: int, p: int) -> tuple[int, ...]:
+    """f_closed(n, s - n, 0, p) for s = 0..n*p: the sum over i of
+    (-1)^i C(n, i) times the binomial row C(n*p - i*p, s)."""
+    top = n * p
     row = [0] * (top + 1)
     for i in range(n + 1):
         size = top - i * p
         weight = -comb(n, i) if i % 2 else comb(n, i)
         for s in range(size + 1):
             row[s] += weight * comb(size, s)
-    return row
+    return tuple(row)
+
+
+def _f_closed_rows(n: int, p: int):
+    """The closed-form rows of the shape (n, p) for m = 0, 1, 2, ...:
+    f_closed(n, s - n, m, p) for s = 0..n*p+m.
+
+    Only the m = 0 row is summed, by _f_closed_seed.  One more element
+    in the extra block multiplies the generating function
+    ((1+x)^p - 1)^n (1+x)^m by 1 + x, so each next row is the last plus
+    itself shifted by one size: C(N + 1, s) = C(N, s) + C(N, s - 1)
+    holds term by term in the sum.
+    """
+    row = _f_closed_seed(n, p)
+    while True:
+        yield row
+        row = (*map(add, row, (0, *row)), row[-1])
 
 
 def f_oracle(n: int, k: int, m: int, p: int) -> int:
@@ -210,7 +233,8 @@ def _configurations(max_ground: int, p_max: int):
 
 
 def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
-    """Compare f_closed with f_oracle for every configuration in range.
+    """Compare the closed-form rows with the enumerated count tables for
+    every configuration in range.
 
     Covers every configuration of _configurations.  Returns (number of
     comparisons, list of failures).  The sweep always reaches the ground
@@ -218,9 +242,10 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     is rejected before anything is enumerated.  So is a p_max past it,
     whose every p above max_ground adds only block-free shapes, as p = 1.
 
-    Each configuration's closed-form row is summed once, uncached, in
-    _f_closed_row and compared whole with the enumerated row; only a
-    row that differs is compared size by size.  The enumeration side
+    The closed side sums each shape's m = 0 row once and steps it to
+    every larger extra block m in _f_closed_rows, uncached; each row is
+    compared whole with the enumerated row, and only a row that differs
+    is compared size by size.  The enumeration side
     walks the whole max_ground ground set once per block size p, with
     as many blocks as fit, max_ground // p.  That walk counts every
     shape (n, p) at its largest extra block max_ground - n*p, and every
@@ -244,10 +269,12 @@ def sweep_oracle_vs_closed(max_ground: int = 14, p_max: int = 4):
     checked = 0
     failures = []
     for n, m, p, sizes in _configurations(max_ground, p_max):
-        closed = _f_closed_row(n, m, p)
+        if not m:  # _configurations runs each shape's m up from 0
+            rows = _f_closed_rows(n, p)
+        closed = next(rows)
         counts = tables[n, p][m]
         checked += len(sizes)
-        if tuple(closed) == counts:
+        if closed == counts:
             continue
         for size in sizes:
             closed_at = closed[size] if 0 <= size < len(closed) else 0
@@ -292,8 +319,8 @@ def check_identity(identity_id: str, max_ground: int = 12):
     Every configuration of _configurations(max_ground, IDENTITY_P_MAX)
     where the identity applies is visited, for each t = 0..E2_T_MAX in
     E2.  Both sides read the scalar closed form _f_closed_raw, which
-    only test_closed_form_equals_untruncated_sum ties to the row form
-    the oracle sweep checks.  Returns (number of instances checked,
+    only test_closed_form_equals_untruncated_sum ties to the stepped
+    rows the oracle sweep checks.  Returns (number of instances checked,
     list of failures), the shape of sweep_oracle_vs_closed.
     """
     if identity_id not in _IDENTITIES:

@@ -16,7 +16,7 @@ import pytest
 from blockcheb import blockcount, cli
 from blockcheb.blockcount import (BACKEND, ENUMERATION_BOUND, _IDENTITIES,
                                   _configurations, _f_closed_raw,
-                                  _f_closed_row, _kernel, check_identity,
+                                  _f_closed_rows, _kernel, check_identity,
                                   f_closed, f_oracle, sweep_oracle_vs_closed)
 from blockcheb.errors import GroundSetTooLargeError, InvalidConfigError
 from reference_routes import count_intersecting_by_size
@@ -132,20 +132,45 @@ def test_sweep_reports_a_corrupted_closed_row(monkeypatch, fresh_tables):
     checked, failures = sweep_oracle_vs_closed(max_ground=6, p_max=3)
     assert failures == []
 
-    def corrupted_row(n, m, p):
-        row = _f_closed_row(n, m, p)
-        if (n, m, p) == (1, 2, 3):
-            row[4] -= 1
-            row[1] += 1
-        if (n, m, p) == (0, 6, 1):
-            row[0] = 7
-        return row
-    monkeypatch.setattr(blockcount, "_f_closed_row", corrupted_row)
+    def corrupted_rows(n, p):
+        # Corrupt copies: the builder steps its next row from the one it
+        # yielded, so only the corrupted m differs.
+        for m, row in enumerate(_f_closed_rows(n, p)):
+            row = list(row)
+            if (n, m, p) == (1, 2, 3):
+                row[4] -= 1
+                row[1] += 1
+            if (n, m, p) == (0, 6, 1):
+                row[0] = 7
+            yield tuple(row)
+    monkeypatch.setattr(blockcount, "_f_closed_rows", corrupted_rows)
     assert sweep_oracle_vs_closed(max_ground=6, p_max=3) == (checked, [
         {"n": 0, "k": 0, "m": 6, "p": 1, "closed": 7, "oracle": 1},
         {"n": 1, "k": 0, "m": 2, "p": 3, "closed": 4, "oracle": 3},
         {"n": 1, "k": 3, "m": 2, "p": 3, "closed": 4, "oracle": 5},
     ])
+
+
+def test_sweep_reports_a_corrupted_seed_row_at_every_m(monkeypatch,
+                                                       fresh_tables):
+    # Size 2 of the m = 0 row of shape (1, 3), raised by 1, is carried
+    # into every stepped row: row m is off by C(m, j) at size 2 + j.
+    checked, failures = sweep_oracle_vs_closed(max_ground=6, p_max=3)
+    assert failures == []
+    seed = blockcount._f_closed_seed
+
+    def corrupted_seed(n, p):
+        row = seed(n, p)
+        return row[:2] + (row[2] + 1,) + row[3:] if (n, p) == (1, 3) else row
+    monkeypatch.setattr(blockcount, "_f_closed_seed", corrupted_seed)
+    checked_again, failures = sweep_oracle_vs_closed(max_ground=6, p_max=3)
+    assert checked_again == checked
+    assert [f["m"] for f in failures] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+    assert failures == [
+        {"n": 1, "k": s - 1, "m": m, "p": 3,
+         "closed": f_closed(1, s - 1, m, 3) + math.comb(m, s - 2),
+         "oracle": f_closed(1, s - 1, m, 3)}
+        for m in range(4) for s in range(2, 3 + m)]
 
 
 def test_oracle_documents_match_golden_digests(capsys):
@@ -179,9 +204,12 @@ def test_closed_form_equals_untruncated_sum():
     for n, m, p, sizes in _configurations(20, 6):
         want = [untruncated(n, s - n, m, p) for s in sizes]
         assert [closed(n, s - n, m, p) for s in sizes] == want, (n, m, p)
-        # The row holds sizes 0..n*p+m, so both margins of sizes read 0.
-        row = _f_closed_row(n, m, p)
-        assert len(row) == n * p + m + 1
+        # The builder's row m holds sizes 0..n*p+m, so both margins of
+        # sizes read 0; every row up to m = 20 - n*p is checked.
+        if not m:
+            rows = _f_closed_rows(n, p)
+        row = next(rows)
+        assert type(row) is tuple and len(row) == n * p + m + 1
         assert [0, *row, 0] == want, (n, m, p)
 
 

@@ -404,3 +404,43 @@ def test_row_compare_fails_on_unequal_lengths(monkeypatch):
          "coefficient": "None"},
         {"family": "(m=2, p=2)", "n": "6", "k": "6", "got": "None",
          "coefficient": str(coefficient(6, 6, P_FAMILY))})
+
+
+def _raise_closed_seed(shape, size):
+    """Add 1 at one subset size of the m = 0 closed-form row of a block
+    shape (n, p): the oracle sweep steps every larger extra block of
+    that shape from it."""
+    def corrupt(monkeypatch):
+        seed = blockcount._f_closed_seed
+
+        def corrupted(n, p):
+            row = seed(n, p)
+            if (n, p) != shape:
+                return row
+            return row[:size] + (row[size] + 1,) + row[size + 1:]
+        monkeypatch.setattr(blockcount, "_f_closed_seed", corrupted)
+    return corrupt
+
+
+# Each row: one corruption, and the exact set of checks it turns from
+# pass to fail.  A check that stops reading what it claims to check
+# drops out of its row's set, and a route shared by two checks shows
+# up as a second check in the set.
+SENSITIVITY = [
+    # No identity check reads the stepped rows.
+    pytest.param(_raise_closed_seed((2, 2), 3),
+                 {"oracle-closed-vs-enumeration"},
+                 id="closed-seed-(2,2)-size-3"),
+]
+
+
+@pytest.mark.parametrize("corrupt, flipped", SENSITIVITY)
+def test_a_corruption_flips_exactly_its_checks(monkeypatch, corrupt,
+                                               flipped):
+    corrupt(monkeypatch)
+    got = {c.check_id: c.status for c in run_suite("all").checks}
+    changed = {check_id for check_id, status in got.items()
+               if status != EXPECTED_STATUS[check_id]}
+    assert changed == flipped
+    assert {EXPECTED_STATUS[c] for c in flipped} == {"pass"}
+    assert {got[c] for c in flipped} == {"fail"}
